@@ -87,15 +87,8 @@ var incompatibleWithCluster = []string{
 // buildClusterConfig validates the flag values and assembles the fleet
 // configuration. All errors are user errors (exit non-zero in main).
 func buildClusterConfig(o clusterOptions) (cluster.Config, error) {
-	var clash []string
-	for _, name := range incompatibleWithCluster {
-		if o.SetFlags[name] {
-			clash = append(clash, "-"+name)
-		}
-	}
-	if len(clash) > 0 {
-		sort.Strings(clash)
-		return cluster.Config{}, fmt.Errorf("flags %v do not apply to -cluster runs", clash)
+	if err := rejectClashes("cluster", o.SetFlags, incompatibleWithCluster); err != nil {
+		return cluster.Config{}, err
 	}
 	v, err := core.ParseVariant(o.Variant)
 	if err != nil {

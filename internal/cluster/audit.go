@@ -105,7 +105,7 @@ func (s *fleet) audit() Audit {
 			seen[k] = true
 		}
 		if n.state != stateCrashed {
-			if err := n.be.St.Check(); err != nil {
+			if err := n.lane.Be.St.Check(); err != nil {
 				s.violation(Violation{
 					Kind: "structure", Node: n.idx,
 					Detail: err.Error(),

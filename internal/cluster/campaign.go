@@ -11,6 +11,7 @@ import (
 
 	"specpersist/internal/chaos"
 	"specpersist/internal/fault"
+	"specpersist/internal/mix"
 	"specpersist/internal/sweep"
 )
 
@@ -93,7 +94,7 @@ func DefaultChaosBase() Config {
 func TrialConfig(cc CampaignConfig, i int) Config {
 	cfg := cc.Base.withDefaults()
 	h := func(k uint64) uint64 {
-		return splitmix64(uint64(cc.Seed)*0x9e3779b97f4a7c15 + uint64(i)*64 + k)
+		return mix.SplitMix64(uint64(cc.Seed)*0x9e3779b97f4a7c15 + uint64(i)*64 + k)
 	}
 	// Expected arrival span in cycles (Rate is requests per Mcycle).
 	span := uint64(float64(cfg.Requests) / cfg.Rate * 1e6)

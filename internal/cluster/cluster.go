@@ -1,7 +1,8 @@
 // Package cluster simulates a replicated, sharded storage fleet on top of
-// the timing core: N nodes, each an internal/service-style server (one
-// timing core over a txn-logged persistent structure in its own memory
-// system), partitioned by a consistent-hash ring with virtual nodes. Every
+// the timing core: N nodes, each a service.Lane (one timing core over a
+// txn-logged persistent structure in its own memory system, admitted and
+// group-committed exactly as an internal/service shard is), partitioned
+// by a consistent-hash ring with virtual nodes. Every
 // update is sequenced into its key range's log by the range's primary and
 // replicated to the R-1 replica owners over a seeded network model; each
 // owner independently group-commits the update behind a persist-barrier
@@ -22,9 +23,12 @@
 // Model shape and honesty:
 //
 //   - Each node is a private multicore.Sim (one core, own memory
-//     controller) plus a service.Backend. Nodes interact only through the
+//     controller) behind a service.Lane. Nodes interact only through the
 //     message fabric; there is no cross-node coherence. Client RTT is
 //     excluded: latency runs from arrival at the primary to the W-th ack.
+//   - One event loop drives the fleet with multicore.Picker, the rule the
+//     service and multicore loops use too; the heartbeat and rebalance
+//     ticks are its two lowest tie-break classes.
 //   - A per-(node,range) sequence gate applies each range's updates in
 //     global sequence order on every owner, buffering out-of-order
 //     deliveries. This makes primary handoff (failover, rebalancing) and
@@ -50,17 +54,14 @@ package cluster
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"specpersist/internal/chaos"
 	"specpersist/internal/core"
-	"specpersist/internal/cpu"
 	"specpersist/internal/fault"
 	"specpersist/internal/hist"
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
-	"specpersist/internal/pstruct"
 	"specpersist/internal/service"
 )
 
@@ -205,10 +206,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// defaultOpOverhead matches internal/service's per-request application
-// preamble, keeping node-level and fleet-level latency comparable.
-const defaultOpOverhead = 200
-
 // withDefaults resolves zero-valued knobs.
 func (c Config) withDefaults() Config {
 	if c.Structure == "" {
@@ -242,7 +239,7 @@ func (c Config) withDefaults() Config {
 		c.Keyspace = 128
 	}
 	if c.OpOverhead == 0 {
-		c.OpOverhead = defaultOpOverhead
+		c.OpOverhead = service.DefaultOpOverhead // node- and fleet-level latency stay comparable
 	}
 	if c.LogCap == 0 {
 		c.LogCap = service.DefaultLogCap(c.Structure)
@@ -271,22 +268,8 @@ func (c Config) withDefaults() Config {
 // defaults-resolved form.
 func (c Config) Validate() error {
 	d := c.withDefaults()
-	if !(c.Rate > 0) {
-		return fmt.Errorf("cluster: arrival rate must be positive, got %g req/Mcycle", c.Rate)
-	}
-	switch d.Variant {
-	case core.VariantLogP, core.VariantLogPSf, core.VariantSP:
-	default:
-		return fmt.Errorf("cluster: variant %s has no durable commit; use Log+P, Log+P+Sf or SP", d.Variant)
-	}
-	valid := false
-	for _, n := range pstruct.AllNames() {
-		if n == d.Structure {
-			valid = true
-		}
-	}
-	if !valid {
-		return fmt.Errorf("cluster: unknown structure %q (valid: %v)", d.Structure, pstruct.AllNames())
+	if err := service.ValidateServing("cluster", c.Rate, d.Variant, d.Structure); err != nil {
+		return err
 	}
 	if d.Nodes < 1 {
 		return fmt.Errorf("cluster: node count must be at least 1, got %d", d.Nodes)
@@ -389,37 +372,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// request is one offered client operation.
-type request struct {
-	id  int
-	at  uint64
-	key uint64
-	get bool
-}
-
-// genArrivals materializes the seeded open-loop schedule. Per-request draw
-// order (gap, key, class) is fixed, so one seed gives one schedule.
-func genArrivals(c Config) []request {
-	rng := rand.New(rand.NewSource(c.Seed))
-	var zipf *rand.Zipf
-	if c.ZipfS > 1 {
-		zipf = rand.NewZipf(rng, c.ZipfS, 1, uint64(c.Keyspace-1))
+// lane is the configuration's per-node recipe and group-commit policy.
+func (c Config) lane() service.LaneConfig {
+	return service.LaneConfig{
+		Structure: c.Structure, Variant: c.Variant, Warmup: c.Warmup,
+		Keyspace: c.Keyspace, LogCap: c.LogCap, Seed: c.Seed, SSBEntries: c.SSBEntries,
+		BatchMax: c.BatchMax, BatchDeadline: c.BatchDeadline, OpOverhead: c.OpOverhead,
 	}
-	perCycle := c.Rate / 1e6
-	t := 0.0
-	reqs := make([]request, c.Requests)
-	for i := range reqs {
-		t += rng.ExpFloat64() / perCycle
-		var key uint64
-		if zipf != nil {
-			key = zipf.Uint64()
-		} else {
-			key = uint64(rng.Intn(c.Keyspace))
-		}
-		get := rng.Float64() < c.GetFrac
-		reqs[i] = request{id: i, at: uint64(t), key: key, get: get}
-	}
-	return reqs
 }
 
 // item is one unit of node work: a sequenced update of a range, a
@@ -432,6 +391,13 @@ type item struct {
 	reqID int    // arrival index, or -1 for catch-up items
 	enq   uint64 // cycle the item entered this node's queue
 }
+
+// Enqueued is the cycle the item entered the node's queue: the
+// group-commit trigger's clock.
+func (it item) Enqueued() uint64 { return it.enq }
+
+// Op is the item's storage operation.
+func (it item) Op() service.Op { return service.Op{Key: it.key, Get: it.get} }
 
 // logEntry is one committed position in a range's replicated log.
 type logEntry struct {
@@ -497,17 +463,13 @@ type rangeGate struct {
 	buf  map[uint64]item
 }
 
-// node is one fleet member: a private machine plus harness bookkeeping.
+// node is one fleet member: a private one-core machine behind its
+// admission lane, plus the replication, durability and recovery
+// bookkeeping of this layer.
 type node struct {
 	idx   int
-	sim   *multicore.Sim
-	be    *service.Backend
+	lane  *service.Lane[item]
 	state nodeState
-
-	queue    []item
-	inflight [][]item
-	busy     bool
-	runStart uint64
 
 	gates      map[int]*rangeGate
 	appliedDur map[int]uint64 // per range: durable in-order applied count
@@ -648,17 +610,20 @@ type fleet struct {
 // than oracle-instant.
 func (s *fleet) detection() bool { return s.cfg.HeartbeatEvery > 0 }
 
-// event kinds, in tie-break priority order at equal cycles. A delivery
-// beats a timer at the same cycle, so an ack arriving exactly at the
-// deadline still completes its request.
+// event classes, in tie-break priority order at equal cycles. The
+// heartbeat and rebalance ticks order first (heartbeat winning), but are
+// offered only while other work is pending, so a periodic tick never
+// keeps a drained fleet alive. A delivery beats a timer at the same
+// cycle, so an ack arriving exactly at the deadline still completes its
+// request.
 const (
-	evArrival = iota
+	evHeartbeat = iota
+	evRebalance
+	evArrival
 	evDeliver
 	evTimer
 	evCrash
 	evRecover
-	evRebalance
-	evHeartbeat
 	evStart
 	evStep
 )
@@ -746,7 +711,11 @@ func run(cfg Config, audited bool) (Result, error) {
 		s.nodes = append(s.nodes, n)
 	}
 
-	if err := s.loop(genArrivals(cfg)); err != nil {
+	arrivals := service.Schedule{
+		Seed: cfg.Seed, Requests: cfg.Requests, Rate: cfg.Rate,
+		Keyspace: cfg.Keyspace, ZipfS: cfg.ZipfS, GetFrac: cfg.GetFrac,
+	}.Arrivals()
+	if err := s.loop(arrivals); err != nil {
 		return Result{}, err
 	}
 	if audited {
@@ -770,32 +739,17 @@ func MustRun(cfg Config) Result {
 	return r
 }
 
-// buildMachine (re)constructs node n's simulated machine and backend and
-// binds the sentinel commit hook. Used at fleet build and at post-crash
-// rebuild; the durable structure replay is the caller's job.
+// buildMachine (re)constructs node n's simulated machine and admission
+// lane, bound to the sentinel commit hook. Used at fleet build and at
+// post-crash rebuild; the durable structure replay is the caller's job.
 func (s *fleet) buildMachine(n *node) error {
-	opts := core.DefaultOptions()
-	if s.cfg.Variant.Speculative() {
-		opts.CPU.SP = cpu.DefaultSPConfig()
-		if s.cfg.SSBEntries > 0 {
-			opts.CPU.SP.SSBEntries = s.cfg.SSBEntries
-		}
-	}
-	sim := multicore.New(multicore.Config{Cores: 1, Options: opts})
-	be, err := service.NewBackend(service.BackendConfig{
-		Structure: s.cfg.Structure,
-		Level:     s.cfg.Variant.Level(),
-		Warmup:    s.cfg.Warmup,
-		Keyspace:  s.cfg.Keyspace,
-		LogCap:    s.cfg.LogCap,
-		Seed:      s.cfg.Seed + int64(n.idx)*7919 + 1,
-		Coalesce:  s.cfg.BatchMax > 1,
-	}, 0, sim.Registry(0))
+	lc := s.cfg.lane()
+	sim := multicore.New(multicore.Config{Cores: 1, Options: lc.MachineOptions()})
+	lane, err := service.NewLane[item](lc, sim, 0, n.idx, func() { s.sentinelCommit(n) })
 	if err != nil {
 		return fmt.Errorf("cluster: node %d: %w", n.idx, err)
 	}
-	n.sim, n.be = sim, be
-	be.BindSentinel(sim, 0, func() { s.sentinelCommit(n) })
+	n.lane = lane
 	return nil
 }
 
@@ -842,103 +796,73 @@ func (s *fleet) span(t uint64) {
 	}
 }
 
-// startTime mirrors internal/service's group-commit trigger: the K-th
-// enqueue starts a run immediately; otherwise the head waits out the batch
-// deadline. Either way the core must be free.
-func (s *fleet) startTime(n *node) uint64 {
-	t := n.sim.Core(0).Now()
-	var ready uint64
-	if len(n.queue) >= s.cfg.BatchMax {
-		ready = n.queue[len(n.queue)-1].enq
-	} else {
-		ready = n.queue[0].enq + s.cfg.BatchDeadline
-	}
-	if ready > t {
-		t = ready
-	}
-	return t
-}
-
-// loop is the deterministic scheduler: always the globally earliest event,
-// with a fixed kind order at equal cycles (arrival < delivery < crash <
-// recover < rebalance < run start < core step) and the lowest node index
-// breaking remaining ties. Network deliveries are already totally ordered
-// by (cycle, send sequence).
-func (s *fleet) loop(arrivals []request) error {
+// loop is the deterministic scheduler: always the globally earliest event
+// by the multicore.Picker rule, with a fixed class order at equal cycles
+// (heartbeat < rebalance < arrival < delivery < timer < crash < recover <
+// run start < core step) and the lowest node index breaking remaining
+// ties. Network deliveries are already totally ordered by (cycle, send
+// sequence).
+func (s *fleet) loop(arrivals []service.Arrival) error {
 	idx := 0
 	for {
-		bestT := ^uint64(0)
-		secondT := ^uint64(0) // earliest non-best event: the step-batch limit
-		bestKind, bestNode := -1, -1
-		consider := func(t uint64, kind, nodeIdx int) {
-			if t < bestT || (t == bestT && (kind < bestKind || (kind == bestKind && nodeIdx < bestNode))) {
-				if bestT < secondT {
-					secondT = bestT
-				}
-				bestT, bestKind, bestNode = t, kind, nodeIdx
-			} else if t < secondT {
-				secondT = t
-			}
-		}
+		var pk multicore.Picker
 		if idx < len(arrivals) {
-			consider(arrivals[idx].at, evArrival, -1)
+			pk.Offer(multicore.Key{T: arrivals[idx].At, Class: evArrival, Idx: -1})
 		}
 		if at, ok := s.net.nextAt(); ok {
-			consider(at, evDeliver, -1)
+			pk.Offer(multicore.Key{T: at, Class: evDeliver, Idx: -1})
 		}
 		if len(s.timers) > 0 {
-			consider(s.timers[0].at, evTimer, -1)
+			pk.Offer(multicore.Key{T: s.timers[0].at, Class: evTimer, Idx: -1})
 		}
 		if s.cfg.CrashAt > 0 && !s.crashDone {
-			consider(s.cfg.CrashAt, evCrash, -1)
+			pk.Offer(multicore.Key{T: s.cfg.CrashAt, Class: evCrash, Idx: -1})
 		}
 		if s.crashDone && !s.recoverDone && s.cfg.RecoverAfter > 0 {
-			consider(s.cfg.CrashAt+s.cfg.RecoverAfter, evRecover, -1)
+			pk.Offer(multicore.Key{T: s.cfg.CrashAt + s.cfg.RecoverAfter, Class: evRecover, Idx: -1})
 		}
 		for i, n := range s.nodes {
-			if n.busy {
-				consider(n.sim.Core(0).Now(), evStep, i)
-			} else if n.state != stateCrashed && len(n.queue) > 0 {
-				consider(s.startTime(n), evStart, i)
+			if n.lane.Busy {
+				pk.Offer(multicore.Key{T: n.lane.Now(), Class: evStep, Idx: i})
+			} else if n.state != stateCrashed && n.lane.Len() > 0 {
+				pk.Offer(multicore.Key{T: n.lane.StartTime(), Class: evStart, Idx: i})
 			}
 		}
-		if bestKind == -1 {
+		if _, ok := pk.Best(); !ok {
 			break
 		}
-		// The rebalance and heartbeat ticks only compete while other work
-		// is pending, so a periodic event can never keep a drained fleet
-		// alive. Heartbeats win equal-cycle ties (checked last).
-		if s.cfg.RebalanceEvery > 0 && s.nextRebal <= bestT {
-			bestT, bestKind, bestNode = s.nextRebal, evRebalance, -1
+		if s.cfg.RebalanceEvery > 0 {
+			pk.Offer(multicore.Key{T: s.nextRebal, Class: evRebalance, Idx: -1})
 		}
-		if s.cfg.HeartbeatEvery > 0 && s.nextBeat <= bestT {
-			bestT, bestKind, bestNode = s.nextBeat, evHeartbeat, -1
+		if s.cfg.HeartbeatEvery > 0 {
+			pk.Offer(multicore.Key{T: s.nextBeat, Class: evHeartbeat, Idx: -1})
 		}
-		switch bestKind {
+		best, _ := pk.Best()
+		switch best.Class {
 		case evArrival:
-			r := arrivals[idx]
+			s.arrive(idx, arrivals[idx])
 			idx++
-			s.arrive(r)
 		case evDeliver:
 			s.deliver(s.net.pop())
 		case evTimer:
-			s.fireTimer(bestT)
+			s.fireTimer(best.T)
 		case evCrash:
 			s.crashDone = true
-			s.crashNode(s.cfg.CrashNode, bestT)
+			s.crashNode(s.cfg.CrashNode, best.T)
 		case evRecover:
 			s.recoverDone = true
-			s.recoverNode(s.cfg.CrashNode, bestT)
+			s.recoverNode(s.cfg.CrashNode, best.T)
 		case evRebalance:
-			s.rebalance(bestT)
+			s.rebalance(best.T)
 			s.nextRebal += s.cfg.RebalanceEvery
 		case evHeartbeat:
-			s.heartbeatTick(bestT)
+			s.heartbeatTick(best.T)
 			s.nextBeat += s.cfg.HeartbeatEvery
 		case evStart:
-			s.startRun(s.nodes[bestNode], bestT)
+			groups, _ := s.nodes[best.Idx].lane.Start(best.T)
+			s.stats.Groups += groups
 		case evStep:
-			s.stepNode(s.nodes[bestNode], secondT)
+			s.stepNode(s.nodes[best.Idx], best, pk.Horizon())
 		}
 		if s.err != nil {
 			return s.err
@@ -964,20 +888,20 @@ func (s *fleet) loop(arrivals []request) error {
 // arrive routes one client request: gets go to the live primary alone;
 // updates are sequenced into the range log and fanned out to every
 // non-crashed owner.
-func (s *fleet) arrive(r request) {
+func (s *fleet) arrive(id int, r service.Arrival) {
 	s.stats.Offered++
-	rid := s.ring.RangeOf(r.key)
+	rid := s.ring.RangeOf(r.Key)
 	s.rangeHeat[rid]++
 	p := s.ring.Primary(rid)
 	pn := s.nodes[p]
 	if pn.state != stateLive {
 		s.stats.Unavailable++
-		s.span(r.at)
-		s.tl.Instant(obs.TrackCluster, "cluster.unavailable", r.at)
+		s.span(r.At)
+		s.tl.Instant(obs.TrackCluster, "cluster.unavailable", r.At)
 		return
 	}
 	need, possible := 1, 1
-	if !r.get {
+	if !r.Get {
 		need = s.cfg.Quorum
 		possible = 0
 		for _, o := range s.ring.Owners(rid) {
@@ -987,31 +911,31 @@ func (s *fleet) arrive(r request) {
 		}
 		if possible < need {
 			s.stats.Unavailable++
-			s.span(r.at)
-			s.tl.Instant(obs.TrackCluster, "cluster.unavailable", r.at)
+			s.span(r.At)
+			s.tl.Instant(obs.TrackCluster, "cluster.unavailable", r.At)
 			return
 		}
 	}
-	if s.cfg.ShedHighWater > 0 && len(pn.queue) >= s.cfg.ShedHighWater {
+	if s.cfg.ShedHighWater > 0 && pn.lane.Len() >= s.cfg.ShedHighWater {
 		s.stats.Shed++
-		s.span(r.at)
-		s.tl.Instant(obs.TrackCluster, "cluster.shed", r.at)
+		s.span(r.At)
+		s.tl.Instant(obs.TrackCluster, "cluster.shed", r.At)
 		return
 	}
-	if len(pn.queue) >= s.cfg.QueueCap {
+	if pn.lane.Len() >= s.cfg.QueueCap {
 		s.stats.Dropped++
-		s.span(r.at)
-		s.tl.Instant(obs.TrackCluster, "cluster.drop", r.at)
+		s.span(r.At)
+		s.tl.Instant(obs.TrackCluster, "cluster.drop", r.At)
 		return
 	}
-	pd := &pendingReq{reqID: r.id, rid: rid, at: r.at, collector: p, need: need, possible: possible, get: r.get}
-	s.pending.put(r.id, pd)
+	pd := &pendingReq{reqID: id, rid: rid, at: r.At, collector: p, need: need, possible: possible, get: r.Get}
+	s.pending.put(id, pd)
 	if s.cfg.ReqDeadline > 0 {
-		s.addTimer(r.at+s.cfg.ReqDeadline, timerDeadline, r.id)
+		s.addTimer(r.At+s.cfg.ReqDeadline, timerDeadline, id)
 	}
-	if r.get {
+	if r.Get {
 		// Primary-only, unsequenced: straight into the FIFO.
-		pn.queue = append(pn.queue, item{rid: rid, key: r.key, get: true, reqID: r.id, enq: r.at})
+		pn.lane.Push(item{rid: rid, key: r.Key, get: true, reqID: id, enq: r.At})
 		return
 	}
 	if s.cfg.HedgeQuantile > 0 {
@@ -1019,20 +943,20 @@ func (s *fleet) arrive(r request) {
 		if d == 0 {
 			d = 2 * s.cfg.NetRTT // no completions observed yet
 		}
-		s.addTimer(r.at+d, timerHedge, r.id)
+		s.addTimer(r.At+d, timerHedge, id)
 	}
 	if s.cfg.RetryMax > 0 {
-		s.addTimer(r.at+s.cfg.RetryBase, timerRetry, r.id)
+		s.addTimer(r.At+s.cfg.RetryBase, timerRetry, id)
 	}
 	seq := uint64(len(s.rangeLog[rid]))
-	s.rangeLog[rid] = append(s.rangeLog[rid], logEntry{key: r.key, reqID: r.id})
+	s.rangeLog[rid] = append(s.rangeLog[rid], logEntry{key: r.Key, reqID: id})
 	pd.seq = seq
-	it := item{rid: rid, seq: seq, key: r.key, reqID: r.id}
+	it := item{rid: rid, seq: seq, key: r.Key, reqID: id}
 	for _, o := range s.ring.Owners(rid) {
 		if o == p {
-			s.gateDeliver(pn, it, r.at)
+			s.gateDeliver(pn, it, r.At)
 		} else if s.nodes[o].state != stateCrashed {
-			s.net.send(&message{from: p, to: o, kind: msgReplicate, item: it}, r.at)
+			s.net.send(&message{from: p, to: o, kind: msgReplicate, item: it}, r.At)
 			s.stats.ReplMsgs++
 		}
 	}
@@ -1198,7 +1122,7 @@ func (s *fleet) gateDeliver(n *node, it item, t uint64) {
 			// Negative control: re-apply the duplicate. The audit must
 			// catch the double durable apply this causes.
 			it.enq = t
-			n.queue = append(n.queue, it)
+			n.lane.Push(it)
 			return
 		}
 		if it.reqID >= 0 && it.seq < n.appliedDur[it.rid] {
@@ -1221,7 +1145,7 @@ func (s *fleet) gateDeliver(n *node, it item, t uint64) {
 	}
 	for {
 		it.enq = t
-		n.queue = append(n.queue, it)
+		n.lane.Push(it)
 		g.next++
 		next, ok := g.buf[g.next]
 		if !ok {
@@ -1335,83 +1259,40 @@ func (s *fleet) ackArrived(p *pendingReq, from int, t uint64) {
 	s.tl.Instant(obs.TrackCluster, "cluster.quorum_ack", t)
 }
 
-// startRun admits node n's whole queue at cycle t as one back-to-back
-// trace, partitioned into commit groups of up to BatchMax — exactly
-// internal/service's admission discipline, via the shared Backend.
-func (s *fleet) startRun(n *node, t uint64) {
-	run := n.queue
-	n.queue = nil
-	overhead := s.cfg.OpOverhead
-	if overhead < 0 {
-		overhead = 0
+// stepNode advances one busy node in a batch (service.Lane.Step) until
+// its key reaches the picker's horizon; completions fire via the sentinel
+// commit hook. Unlike the service loop, stepping can *create* events: a
+// sentinel commit sends acks and catch-up fetches into the network, so
+// each step re-peeks the net queue. Nodes own disjoint simulators, so no
+// other event time can move while this node runs.
+func (s *fleet) stepNode(n *node, self, horizon multicore.Key) {
+	if !n.lane.Step(self, horizon, s.preempted) {
+		return
 	}
-	n.be.BeginRun()
-	for len(run) > 0 {
-		k := len(run)
-		if k > s.cfg.BatchMax {
-			k = s.cfg.BatchMax
-		}
-		group := run[:k]
-		run = run[k:]
-		ops := make([]service.Op, len(group))
-		for i, it := range group {
-			ops[i] = service.Op{Key: it.key, Get: it.get}
-		}
-		n.be.AppendGroup(ops, overhead)
-		n.inflight = append(n.inflight, group)
-		s.stats.Groups++
+	if k := n.lane.Inflight(); k > 0 && s.err == nil {
+		s.err = fmt.Errorf("cluster: node %d drained with %d in-flight groups", n.idx, k)
 	}
-	n.be.EndRun()
-	n.sim.Core(0).AdvanceTo(t)
-	n.sim.StartCore(0, &n.be.Buf)
-	n.busy = true
-	n.runStart = t
 }
 
-// stepNode advances one busy node; completions fire via the sentinel
-// commit hook. The node steps in a batch while its clock stays strictly
-// below limit — the next scheduler event at scan time. Unlike the service
-// loop, stepping can *create* events: a sentinel commit sends acks and
-// catch-up fetches into the network, so each iteration re-peeks the net
-// queue; and the periodic rebalance tick preempts a step whose cycle it
-// reaches, so it caps the batch too. Nodes own disjoint simulators, so no
-// other event time can move while this node runs.
-func (s *fleet) stepNode(n *node, limit uint64) {
-	if s.cfg.RebalanceEvery > 0 && s.nextRebal < limit {
-		limit = s.nextRebal
+// preempted stops a step batch once an error is pending or a message is
+// due at or before the stepping node's clock.
+func (s *fleet) preempted(now uint64) bool {
+	if s.err != nil {
+		return true
 	}
-	if s.cfg.HeartbeatEvery > 0 && s.nextBeat < limit {
-		limit = s.nextBeat
-	}
-	for {
-		if !n.sim.StepCore(0) {
-			if len(n.inflight) > 0 && s.err == nil {
-				s.err = fmt.Errorf("cluster: node %d drained with %d in-flight groups", n.idx, len(n.inflight))
-			}
-			n.busy = false
-			return
-		}
-		now := n.sim.Core(0).Now()
-		if s.err != nil || now >= limit {
-			return
-		}
-		if at, ok := s.net.nextAt(); ok && at <= now {
-			return
-		}
-	}
+	at, ok := s.net.nextAt()
+	return ok && at <= now
 }
 
 // sentinelCommit fires when node n's oldest in-flight commit group becomes
 // durable: updates join the durable log in order and are acknowledged to
 // their collector; a recovering node checks whether it has caught up.
 func (s *fleet) sentinelCommit(n *node) {
-	if len(n.inflight) == 0 {
+	group, now, ok := n.lane.Complete()
+	if !ok {
 		s.err = fmt.Errorf("cluster: node %d sentinel committed with no in-flight group", n.idx)
 		return
 	}
-	now := n.sim.Core(0).Now()
-	group := n.inflight[0]
-	n.inflight = n.inflight[1:]
 	for _, it := range group {
 		if !it.get {
 			if it.seq == n.appliedDur[it.rid] {
@@ -1450,13 +1331,6 @@ func (s *fleet) sentinelCommit(n *node) {
 	}
 }
 
-// sortedPendingIDs returns the pending request IDs ascending, for
-// deterministic crash-time iteration (an ordered walk of the pending
-// set — no per-crash sort).
-func (s *fleet) sortedPendingIDs() []int {
-	return s.pending.sortedIDs()
-}
-
 // fail abandons one pending request: its quorum became impossible. The
 // update may still be durable on surviving owners — failed means
 // un-acknowledged, never acknowledged-and-lost.
@@ -1488,15 +1362,16 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	// sampled line fates (torn writes included), run undo-log recovery,
 	// and check structure invariants.
 	var fates []fault.LineFate
-	c.be.Env.Crash(fault.CrashOptionsSampled(s.cfg.Seed+int64(idx)*131+17, true, &fates))
-	c.be.Mgr.Recover()
-	if err := c.be.St.Check(); err != nil {
+	be := c.lane.Be
+	be.Env.Crash(fault.CrashOptionsSampled(s.cfg.Seed+int64(idx)*131+17, true, &fates))
+	be.Mgr.Recover()
+	if err := be.St.Check(); err != nil {
 		s.err = fmt.Errorf("cluster: node %d invariants broken after crash recovery: %w", idx, err)
 		return
 	}
 
 	// Volatile state is gone.
-	c.queue, c.inflight, c.busy = nil, nil, false
+	c.lane.Abandon()
 	c.gates = map[int]*rangeGate{}
 
 	if s.detection() {
@@ -1509,7 +1384,7 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	// Repair pending quorums: requests collected here can no longer be
 	// acknowledged; elsewhere, this node's ack is off the table unless the
 	// update was already durable here (its ack survives in flight).
-	for _, id := range s.sortedPendingIDs() {
+	for _, id := range s.pending.sortedIDs() { // deterministic crash-time order
 		p, ok := s.pending.get(id)
 		if !ok {
 			continue
@@ -1555,11 +1430,12 @@ func (s *fleet) recoverNode(idx int, t uint64) {
 		s.err = err
 		return
 	}
+	be := c.lane.Be
 	for _, op := range c.durableOps {
-		c.be.St.Apply(op.key)
+		be.St.Apply(op.key)
 	}
-	c.be.FinishReplay()
-	if err := c.be.St.Check(); err != nil {
+	be.FinishReplay()
+	if err := be.St.Check(); err != nil {
 		s.err = fmt.Errorf("cluster: node %d invariants broken after durable replay: %w", idx, err)
 		return
 	}
@@ -1707,7 +1583,7 @@ func (s *fleet) check() error {
 			}
 			return fmt.Errorf("cluster: node %d never finished catching up", n.idx)
 		}
-		if err := n.be.St.Check(); err != nil {
+		if err := n.lane.Be.St.Check(); err != nil {
 			return fmt.Errorf("cluster: node %d after run: %w", n.idx, err)
 		}
 		if lossy {
@@ -1771,7 +1647,7 @@ func (s *fleet) result() Result {
 	m := s.reg.Snapshot()
 	for i, n := range s.nodes {
 		prefix := fmt.Sprintf("node%d.", i)
-		for k, v := range n.sim.Metrics() {
+		for k, v := range n.lane.Sim.Metrics() {
 			m[prefix+k] = v
 		}
 	}

@@ -3,6 +3,8 @@ package litmus
 import (
 	"fmt"
 	"math/rand"
+
+	"specpersist/internal/mix"
 )
 
 // locShapes are the (off, size) pairs the generator draws locations from:
@@ -91,11 +93,8 @@ func Generate(seed int64) Program {
 	return p
 }
 
-// TrialSeed mixes the campaign seed with a trial index (splitmix64-style),
+// TrialSeed mixes the campaign seed with a trial index (SplitMix64),
 // so trial programs are independent pure functions of (seed, i).
 func TrialSeed(seed int64, i int) int64 {
-	z := uint64(seed) + uint64(i)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(mix.SplitMix64(uint64(seed) + uint64(i)*0x9e3779b97f4a7c15))
 }

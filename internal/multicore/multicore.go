@@ -6,10 +6,12 @@
 //
 // Model shape and fidelity:
 //
-//   - Cores are stepped round-robin by earliest Now() (lowest index breaks
-//     ties), which keeps the analytic memory controller's requirement that
-//     requests arrive in non-decreasing time order while sharing one
-//     controller (one WPQ, one pcommit drain domain) across all cores.
+//   - Cores are stepped by earliest Now() (lowest index breaks ties): the
+//     rule of the event Picker, which internal/service and
+//     internal/cluster schedule with too. It keeps the analytic memory
+//     controller's requirement that requests arrive in non-decreasing time
+//     order while sharing one controller (one WPQ, one pcommit drain
+//     domain) across all cores.
 //   - Each core keeps a private cache hierarchy; sharing is modeled at the
 //     backend plus a directory-style filter that forwards a committed
 //     store's address only to cores currently speculating — exactly the
@@ -238,8 +240,8 @@ func (s *Sim) SetSource(i int, src trace.Source) { s.cores[i].src = src }
 // StartCore binds a trace source to core i and marks it runnable, for
 // harnesses (internal/service) that feed cores work in batches instead of
 // one trace per run. The caller owns the interleaving discipline: always
-// step the globally earliest core so the shared controller sees requests
-// in near-monotonic time order, exactly as Run does.
+// step the globally earliest core (Picker, StepBatch) so the shared
+// controller sees requests in near-monotonic time order, as Run does.
 func (s *Sim) StartCore(i int, src trace.Source) {
 	cs := s.cores[i]
 	cs.src = src
@@ -263,9 +265,9 @@ func (s *Sim) StepCore(i int) bool {
 	return true
 }
 
-// Run simulates every core to completion, interleaved by earliest Now()
-// (ties go to the lowest core index — fully deterministic). srcs, when
-// non-nil, binds one source per core first.
+// Run simulates every core to completion, always stepping the earliest
+// core by the Picker's rule (ties go to the lowest core index — fully
+// deterministic). srcs, when non-nil, binds one source per core first.
 func (s *Sim) Run(srcs []trace.Source) Stats {
 	if srcs != nil {
 		if len(srcs) != len(s.cores) {
@@ -283,57 +285,21 @@ func (s *Sim) Run(srcs []trace.Source) Stats {
 		cs.done = false
 	}
 	for {
-		// Pick the earliest core and the earliest *other* core's time: the
-		// pick keeps the floor until its clock reaches that limit, so one
-		// scan pays for a whole batch of steps instead of one.
-		var pick *coreState
-		pi := -1
+		// Other cores' clocks only ever increase (a delivered probe can
+		// add a rollback penalty, never rewind), so the pick keeps the
+		// floor for a whole batch of steps instead of one per scan.
+		var pk Picker
 		for i, cs := range s.cores {
-			if cs.done {
-				continue
-			}
-			if pick == nil || cs.cpu.Now() < pick.cpu.Now() {
-				pick, pi = cs, i
+			if !cs.done {
+				pk.Offer(Key{T: cs.cpu.Now(), Idx: i})
 			}
 		}
-		if pick == nil {
-			break
+		best, ok := pk.Best()
+		if !ok {
+			return s.Stats()
 		}
-		limit := ^uint64(0)
-		li := -1
-		for i, cs := range s.cores {
-			if cs.done || i == pi {
-				continue
-			}
-			if n := cs.cpu.Now(); n < limit {
-				limit, li = n, i
-			}
-		}
-		// Inner batch: other cores' clocks only ever increase (a delivered
-		// probe can add a rollback penalty, never rewind), so while the
-		// pick stays strictly below the cached limit — or ties it from a
-		// lower index — it would win the scan again; re-scanning is wasted
-		// work. Each step still retries NACKed probes first, exactly as the
-		// one-step-per-scan loop did.
-		for {
-			s.retryDeferred(pick)
-			if !pick.cpu.Step() {
-				pick.done = true
-				// Anything still NACKed resolves trivially: the core is no
-				// longer speculating, so the retried probes would all miss.
-				pick.deferred = nil
-				clear(pick.deferredAt)
-				break
-			}
-			if li == -1 {
-				continue // sole live core: run it to completion
-			}
-			if n := pick.cpu.Now(); n > limit || (n == limit && pi > li) {
-				break
-			}
-		}
+		s.StepBatch(best.Idx, best, pk.Horizon(), nil)
 	}
-	return s.Stats()
 }
 
 // Stats returns the conflict-engine counters plus per-core CPU stats.

@@ -6,6 +6,7 @@ import (
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
+	"specpersist/internal/mix"
 	"specpersist/internal/txn"
 )
 
@@ -169,7 +170,7 @@ func (t *AVL) insert(tx *txn.Tx, addr, key uint64, dep isa.Reg) uint64 {
 	if addr == 0 {
 		n := t.allocNode(tx)
 		t.st(tx, n+avKey, key, isa.NoReg, isa.NoReg)
-		t.st(tx, n+avValue, mix64(key), isa.NoReg, isa.NoReg)
+		t.st(tx, n+avValue, mix.SplitMix64(key), isa.NoReg, isa.NoReg)
 		t.st(tx, n+avHeight, 1, isa.NoReg, isa.NoReg)
 		return n
 	}
@@ -333,7 +334,7 @@ func (t *AVL) Check() error {
 		if hasHi && k >= hi {
 			return 0, fmt.Errorf("avl: key %d violates upper bound %d", k, hi)
 		}
-		if v := m.ReadU64(addr + avValue); v != mix64(k) {
+		if v := m.ReadU64(addr + avValue); v != mix.SplitMix64(k) {
 			return 0, fmt.Errorf("avl: node %d value corrupt", k)
 		}
 		hl, err := walk(m.ReadU64(addr+avLeft), lo, k, hasLo, true)

@@ -6,6 +6,7 @@ import (
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
+	"specpersist/internal/mix"
 	"specpersist/internal/txn"
 )
 
@@ -179,7 +180,7 @@ func (t *BTree) Apply(key uint64) {
 	case root == 0:
 		// Empty tree: the new leaf becomes the root.
 		n := t.allocNode(tx)
-		t.writeLeaf(tx, n, key, mix64(key), isa.NoReg)
+		t.writeLeaf(tx, n, key, mix.SplitMix64(key), isa.NoReg)
 		t.st(tx, t.hdr+0, n, isa.NoReg, isa.NoReg)
 		t.st(tx, t.hdr+8, count+1, t.cmp(cr), isa.NoReg)
 	case found:
@@ -216,10 +217,10 @@ func (t *BTree) insert(tx *txn.Tx, addr, key uint64, dep isa.Reg) (uint64, uint6
 		right := t.allocNode(tx)
 		if key < nd.keys[0] {
 			t.writeLeaf(tx, right, nd.keys[0], nd.keys[1], nd.dep)
-			t.writeLeaf(tx, addr, key, mix64(key), nd.dep)
+			t.writeLeaf(tx, addr, key, mix.SplitMix64(key), nd.dep)
 			return nd.keys[0], right
 		}
-		t.writeLeaf(tx, right, key, mix64(key), nd.dep)
+		t.writeLeaf(tx, right, key, mix.SplitMix64(key), nd.dep)
 		return key, right
 	}
 	i := t.route(nd, key)
@@ -370,7 +371,7 @@ func (t *BTree) Check() error {
 		if m.ReadU64(addr+btFlags) == 1 {
 			leaves++
 			k := m.ReadU64(addr + btKey0)
-			if v := m.ReadU64(addr + btKey1); v != mix64(k) {
+			if v := m.ReadU64(addr + btKey1); v != mix.SplitMix64(k) {
 				return 0, 0, 0, fmt.Errorf("btree: leaf %d value corrupt", k)
 			}
 			return depth, k, k, nil

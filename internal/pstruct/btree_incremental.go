@@ -3,6 +3,7 @@ package pstruct
 import (
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
+	"specpersist/internal/mix"
 )
 
 // Incremental logging (§3.2, Figure 4): instead of conservatively logging
@@ -66,7 +67,7 @@ func (t *BTree) applyIncremental(key uint64, path []uint64) {
 	count, cr := t.ld(t.hdr+8, isa.NoReg)
 	if root == 0 {
 		n := t.allocNode(tx)
-		t.writeLeaf(tx, n, key, mix64(key), isa.NoReg)
+		t.writeLeaf(tx, n, key, mix.SplitMix64(key), isa.NoReg)
 		t.st(tx, t.hdr+0, n, isa.NoReg, isa.NoReg)
 	} else {
 		sep, right := t.insert(tx, root, key, isa.NoReg)

@@ -5,6 +5,7 @@ import (
 
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
+	"specpersist/internal/mix"
 	"specpersist/internal/txn"
 )
 
@@ -90,7 +91,7 @@ func (l *List) Apply(key uint64) {
 	tx.SetLogged()
 	n := l.allocNode(tx)
 	l.st(tx, n+llKey, key, isa.NoReg, isa.NoReg)
-	l.st(tx, n+llValue, mix64(key), isa.NoReg, isa.NoReg)
+	l.st(tx, n+llValue, mix.SplitMix64(key), isa.NoReg, isa.NoReg)
 	l.st(tx, n+llNext, cur, dep, isa.NoReg)
 	l.st(tx, linkSlot, n, isa.NoReg, dep)
 	count, cr := l.ld(l.hdr+8, isa.NoReg)
@@ -115,7 +116,7 @@ func (l *List) Check() error {
 		if !first && k <= prev {
 			return fmt.Errorf("list: keys not ascending: %d after %d", k, prev)
 		}
-		if v := m.ReadU64(cur + llValue); v != mix64(k) {
+		if v := m.ReadU64(cur + llValue); v != mix.SplitMix64(k) {
 			return fmt.Errorf("list: node %d value corrupt", k)
 		}
 		prev, first = k, false

@@ -151,14 +151,3 @@ func Build(name string, env *exec.Env, mgr *txn.Manager, cfg Config) Structure {
 		panic(fmt.Sprintf("pstruct: unknown structure %q", name))
 	}
 }
-
-// mix64 is the functional hash used by the hash map and key-splitting
-// helpers (SplitMix64 finalizer).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}

@@ -7,6 +7,7 @@ import (
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
+	"specpersist/internal/mix"
 	"specpersist/internal/txn"
 )
 
@@ -57,11 +58,11 @@ func NewStringSwap(env *exec.Env, mgr *txn.Manager, n int) *StringSwap {
 // canonicalString returns the content identifying string id.
 func canonicalString(id uint64) []byte {
 	b := make([]byte, StringLen)
-	x := mix64(id)
+	x := mix.SplitMix64(id)
 	for i := range b {
 		b[i] = byte(x >> (8 * (uint(i) % 8)))
 		if i%8 == 7 {
-			x = mix64(x)
+			x = mix.SplitMix64(x)
 		}
 	}
 	return b

@@ -2,10 +2,10 @@
 // shard: a displaced address window holding a warmed-up, txn-logged
 // persistent structure, plus the group-commit trace-building discipline
 // (per-request preamble, optional coalesced persist trio, sentinel store
-// marking each commit group's durability point). internal/service wraps
-// one Backend per shard; internal/cluster wraps one per fleet node — the
-// two layers share exactly this execution recipe, so their latency
-// numbers stay comparable.
+// marking each commit group's durability point). Each Lane owns one
+// Backend, for a service shard or a fleet node alike — the two layers
+// share exactly this execution recipe, so their latency numbers stay
+// comparable.
 package service
 
 import (

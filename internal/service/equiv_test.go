@@ -22,9 +22,14 @@ func TestSteppingEquivalenceGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fast run: %v", err)
 	}
-	debugRefStepping = true
-	defer func() { debugRefStepping = false }()
-	ref, err := Run(cfg)
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatalf("reference build: %v", err)
+	}
+	for k := range s.shards {
+		s.sim.Core(k).SetReferenceStepping(true)
+	}
+	ref, err := s.run()
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

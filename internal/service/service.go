@@ -39,6 +39,11 @@
 //     barrier's fences), at epoch commit (after the barrier's drain) on an
 //     SP core — completes the group. Runs are serial per shard; cross-run
 //     pipelining is not modeled, which understates SP slightly.
+//   - Each shard is a Lane (lane.go): the FIFO, group-commit trigger, run
+//     layout, batched stepping and commit-group completion that
+//     internal/cluster's fleet nodes use too. The server loop picks the
+//     next event (arrival, run start or core step) with multicore.Picker,
+//     the rule multicore.Sim.Run interleaves cores by.
 //   - Everything is seeded and single-threaded per run: two runs of one
 //     Config produce byte-identical results at any sweep worker count.
 package service
@@ -48,11 +53,10 @@ import (
 	"math/rand"
 
 	"specpersist/internal/core"
-	"specpersist/internal/cpu"
 	"specpersist/internal/hist"
+	"specpersist/internal/mix"
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
-	"specpersist/internal/pstruct"
 )
 
 // Histogram aliases the shared log-bucketed latency histogram
@@ -148,10 +152,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// defaultOpOverhead is the per-request application preamble (parsing,
+// DefaultOpOverhead is the per-request application preamble (parsing,
 // allocation, call frames) at harness scale, matching the multicore
 // harness's calibration: long enough that barriers overlap real work.
-const defaultOpOverhead = 200
+const DefaultOpOverhead = 200
 
 // shardRegionLines displaces each shard's allocations into a private
 // 64 MiB window, so no line is ever shared between shards.
@@ -187,7 +191,7 @@ func (c Config) withDefaults() Config {
 		c.Keyspace = 128
 	}
 	if c.OpOverhead == 0 {
-		c.OpOverhead = defaultOpOverhead
+		c.OpOverhead = DefaultOpOverhead
 	}
 	if c.LogCap == 0 {
 		c.LogCap = DefaultLogCap(c.Structure)
@@ -200,22 +204,8 @@ func (c Config) withDefaults() Config {
 // never an error.
 func (c Config) Validate() error {
 	d := c.withDefaults()
-	if !(c.Rate > 0) {
-		return fmt.Errorf("service: arrival rate must be positive, got %g req/Mcycle", c.Rate)
-	}
-	switch d.Variant {
-	case core.VariantLogP, core.VariantLogPSf, core.VariantSP:
-	default:
-		return fmt.Errorf("service: variant %s has no durable commit; use Log+P, Log+P+Sf or SP", d.Variant)
-	}
-	valid := false
-	for _, n := range pstruct.AllNames() {
-		if n == d.Structure {
-			valid = true
-		}
-	}
-	if !valid {
-		return fmt.Errorf("service: unknown structure %q (valid: %v)", d.Structure, pstruct.AllNames())
+	if err := ValidateServing("service", c.Rate, d.Variant, d.Structure); err != nil {
+		return err
 	}
 	if d.Cores < 1 {
 		return fmt.Errorf("service: core count must be at least 1, got %d", d.Cores)
@@ -250,50 +240,88 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// request is one offered operation.
-type request struct {
-	at    uint64 // arrival cycle
-	key   uint64
-	get   bool
-	shard int
+// Arrival is one offered request of an open-loop schedule.
+type Arrival struct {
+	At  uint64 // arrival cycle
+	Key uint64
+	Get bool
 }
 
-// splitmix64 spreads keys across shards (SplitMix64 finalizer).
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// Enqueued is the arrival cycle: a service request joins its shard's FIFO
+// the moment it arrives.
+func (a Arrival) Enqueued() uint64 { return a.At }
+
+// Op is the request's storage operation.
+func (a Arrival) Op() Op { return Op{Key: a.Key, Get: a.Get} }
+
+// Schedule parameterizes a seeded open-loop arrival process, for this
+// layer and internal/cluster alike.
+type Schedule struct {
+	Seed     int64
+	Requests int
+	// Rate is the offered load in requests per million cycles.
+	Rate float64
+	// Process is Poisson ("" too) or Bursty, with the burst shape below.
+	Process     Process
+	BurstOnFrac float64
+	BurstPeriod uint64
+	Keyspace    int
+	// ZipfS > 1 skews keys Zipf-wise; otherwise keys are uniform.
+	ZipfS   float64
+	GetFrac float64
 }
 
-// genArrivals materializes the seeded open-loop request schedule. The
-// per-request draw order (gap, key, class) is fixed, so one seed produces
-// one schedule regardless of every other knob.
-func genArrivals(c Config) []request {
-	rng := rand.New(rand.NewSource(c.Seed))
-	perCycle := c.Rate / 1e6
-	onLen := float64(c.BurstPeriod) * c.BurstOnFrac
-	reqs := make([]request, c.Requests)
+// Arrivals materializes the schedule. The per-request draw order (gap,
+// key, class) is fixed, so one seed produces one schedule regardless of
+// every other knob.
+func (s Schedule) Arrivals() []Arrival {
+	rng := rand.New(rand.NewSource(s.Seed))
+	var zipf *rand.Zipf
+	if s.ZipfS > 1 {
+		zipf = rand.NewZipf(rng, s.ZipfS, 1, uint64(s.Keyspace-1))
+	}
+	perCycle := s.Rate / 1e6
+	onLen := float64(s.BurstPeriod) * s.BurstOnFrac
+	out := make([]Arrival, s.Requests)
 	t := 0.0 // Poisson: wall clock; Bursty: accumulated ON-time
-	for i := range reqs {
+	for i := range out {
 		gap := rng.ExpFloat64()
-		var at uint64
-		switch c.Process {
+		a := &out[i]
+		switch s.Process {
 		case Bursty:
-			t += gap / (perCycle / c.BurstOnFrac)
+			t += gap / (perCycle / s.BurstOnFrac)
 			k := uint64(t / onLen)
-			at = k*c.BurstPeriod + uint64(t-float64(k)*onLen)
+			a.At = k*s.BurstPeriod + uint64(t-float64(k)*onLen)
 		default:
 			t += gap / perCycle
-			at = uint64(t)
+			a.At = uint64(t)
 		}
-		key := uint64(rng.Intn(c.Keyspace))
-		get := rng.Float64() < c.GetFrac
-		reqs[i] = request{at: at, key: key, get: get, shard: int(splitmix64(key) % uint64(c.Cores))}
+		if zipf != nil {
+			a.Key = zipf.Uint64()
+		} else {
+			a.Key = uint64(rng.Intn(s.Keyspace))
+		}
+		a.Get = rng.Float64() < s.GetFrac
 	}
-	return reqs
+	return out
+}
+
+// genArrivals is the configuration's request schedule.
+func genArrivals(c Config) []Arrival {
+	return Schedule{
+		Seed: c.Seed, Requests: c.Requests, Rate: c.Rate,
+		Process: c.Process, BurstOnFrac: c.BurstOnFrac, BurstPeriod: c.BurstPeriod,
+		Keyspace: c.Keyspace, GetFrac: c.GetFrac,
+	}.Arrivals()
+}
+
+// lane is the configuration's per-shard recipe and group-commit policy.
+func (c Config) lane() LaneConfig {
+	return LaneConfig{
+		Structure: c.Structure, Variant: c.Variant, Warmup: c.Warmup,
+		Keyspace: c.Keyspace, LogCap: c.LogCap, Seed: c.Seed, SSBEntries: c.SSBEntries,
+		BatchMax: c.BatchMax, BatchDeadline: c.BatchDeadline, OpOverhead: c.OpOverhead,
+	}
 }
 
 // Stats aggregates the server-level counters.
@@ -337,20 +365,10 @@ type Result struct {
 	Metrics obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// shard is one serving core's harness-side state: an exported Backend
-// (the machine-side building block shared with internal/cluster) plus the
-// FIFO and in-flight bookkeeping of this layer's admission policy.
+// shard is one serving core: its admission Lane plus the queue-depth
+// integral this layer reports.
 type shard struct {
-	be    *Backend
-	queue []request
-
-	// inflight holds the admitted groups of the current run in program
-	// order, popped as their sentinels commit.
-	inflight [][]request
-
-	busy     bool
-	runStart uint64
-
+	*Lane[Arrival]
 	depthAt uint64 // cycle of the last depth change (area accounting)
 }
 
@@ -366,8 +384,8 @@ type server struct {
 	err    error // first accounting violation, checked by loop
 }
 
-// event kinds, in tie-break priority order at equal cycles: arrivals join
-// queues before batches close over them, batch starts precede steps.
+// event classes, in tie-break priority order at equal cycles: arrivals
+// join queues before batches close over them, batch starts precede steps.
 const (
 	evArrival = iota
 	evStart
@@ -376,49 +394,47 @@ const (
 
 // Run simulates one server configuration to completion.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := build(cfg)
+	if err != nil {
 		return Result{}, err
+	}
+	return s.run()
+}
+
+// build validates cfg and assembles the machine and its shards.
+func build(cfg Config) (*server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
-
-	opts := core.DefaultOptions()
-	if cfg.Variant.Speculative() {
-		opts.CPU.SP = cpu.DefaultSPConfig()
-		if cfg.SSBEntries > 0 {
-			opts.CPU.SP.SSBEntries = cfg.SSBEntries
-		}
-	}
-	sim := multicore.New(multicore.Config{Cores: cfg.Cores, Options: opts, Timeline: cfg.Timeline})
-	if debugRefStepping {
-		for k := 0; k < cfg.Cores; k++ {
-			sim.Core(k).SetReferenceStepping(true)
-		}
-	}
+	lc := cfg.lane()
+	sim := multicore.New(multicore.Config{Cores: cfg.Cores, Options: lc.MachineOptions(), Timeline: cfg.Timeline})
 	s := &server{cfg: cfg, sim: sim, tl: cfg.Timeline, reg: obs.NewRegistry()}
 	s.registerCounters()
-
 	for k := 0; k < cfg.Cores; k++ {
-		sh, err := buildShard(cfg, k, sim.Registry(k))
+		sh := &shard{}
+		lane, err := NewLane[Arrival](lc, sim, k, k, func() { s.completeGroup(sh, k) })
 		if err != nil {
-			return Result{}, err
+			return nil, fmt.Errorf("service: shard %d: %w", k, err)
 		}
+		sh.Lane = lane
 		s.shards = append(s.shards, sh)
-		k := k
-		sh.be.BindSentinel(sim, k, func() { s.completeGroup(sh, k) })
 	}
+	return s, nil
+}
 
-	if err := s.loop(genArrivals(cfg)); err != nil {
+// run serves the configuration's arrival schedule and checks the shards.
+func (s *server) run() (Result, error) {
+	if err := s.loop(genArrivals(s.cfg)); err != nil {
 		return Result{}, err
 	}
-
 	for k, sh := range s.shards {
-		if err := sh.be.St.Check(); err != nil {
+		if err := sh.Be.St.Check(); err != nil {
 			return Result{}, fmt.Errorf("service: shard %d after run: %w", k, err)
 		}
-		s.stats.CoalescedBarriers += sh.be.Env.DeferredBarriers()
-		s.stats.Pcommits += sh.be.ServingPcommits()
+		s.stats.CoalescedBarriers += sh.Be.Env.DeferredBarriers()
+		s.stats.Pcommits += sh.Be.ServingPcommits()
 	}
-
 	return s.result(), nil
 }
 
@@ -429,24 +445,6 @@ func MustRun(cfg Config) Result {
 		panic(err)
 	}
 	return r
-}
-
-// buildShard constructs shard k: a Backend displaced into window k so no
-// line is ever shared across cores (coherence probes always miss).
-func buildShard(cfg Config, k int, reg *obs.Registry) (*shard, error) {
-	be, err := NewBackend(BackendConfig{
-		Structure: cfg.Structure,
-		Level:     cfg.Variant.Level(),
-		Warmup:    cfg.Warmup,
-		Keyspace:  cfg.Keyspace,
-		LogCap:    cfg.LogCap,
-		Seed:      cfg.Seed + int64(k)*7919 + 1,
-		Coalesce:  cfg.BatchMax > 1,
-	}, k, reg)
-	if err != nil {
-		return nil, fmt.Errorf("service: shard %d: %w", k, err)
-	}
-	return &shard{be: be}, nil
 }
 
 // registerCounters publishes the service.* key space.
@@ -470,77 +468,45 @@ func (s *server) registerCounters() {
 	s.reg.RegisterFunc("service.latency.max", func() uint64 { return s.hist.Max })
 }
 
-// startTime returns the cycle at which an idle shard's next batch begins
-// under the group-commit policy. The batch-full trigger fires the moment
-// the K-th request arrives — not at the head's arrival, which would start
-// the run in the past — and the deadline trigger fires once the head has
-// waited out the batch deadline since arriving. Either way the core must
-// also be free.
-func (s *server) startTime(sh *shard, k int) uint64 {
-	t := s.sim.Core(k).Now()
-	var ready uint64
-	if len(sh.queue) >= s.cfg.BatchMax {
-		ready = sh.queue[len(sh.queue)-1].at
-	} else {
-		ready = sh.queue[0].at + s.cfg.BatchDeadline
-	}
-	if ready > t {
-		t = ready
-	}
-	return t
-}
-
 // noteDepth accrues the queue-depth time integral up to cycle t.
 func (s *server) noteDepth(sh *shard, t uint64) {
 	if t > sh.depthAt {
-		s.stats.DepthCycles += uint64(len(sh.queue)) * (t - sh.depthAt)
+		s.stats.DepthCycles += uint64(sh.Len()) * (t - sh.depthAt)
 		sh.depthAt = t
 	}
 }
 
 // loop is the deterministic scheduler: it always advances the globally
-// earliest event (arrival < batch start < core step at equal cycles, then
-// lowest shard index), which both fixes the interleaving and keeps the
-// shared memory controller's request order near-monotonic, exactly like
-// multicore.Sim.Run.
-func (s *server) loop(arrivals []request) error {
+// earliest event by the multicore.Picker rule (arrival < batch start <
+// core step at equal cycles, then lowest shard index), which both fixes
+// the interleaving and keeps the shared memory controller's request order
+// near-monotonic.
+func (s *server) loop(arrivals []Arrival) error {
 	idx := 0
 	for {
-		bestT := ^uint64(0)
-		secondT := ^uint64(0) // earliest non-best event: the step-batch limit
-		bestKind, bestShard := -1, -1
-		consider := func(t uint64, kind, shardIdx int) {
-			if t < bestT || (t == bestT && (kind < bestKind || (kind == bestKind && shardIdx < bestShard))) {
-				if bestT < secondT {
-					secondT = bestT
-				}
-				bestT, bestKind, bestShard = t, kind, shardIdx
-			} else if t < secondT {
-				secondT = t
-			}
-		}
+		var pk multicore.Picker
 		if idx < len(arrivals) {
-			consider(arrivals[idx].at, evArrival, -1)
+			pk.Offer(multicore.Key{T: arrivals[idx].At, Class: evArrival, Idx: -1})
 		}
 		for k, sh := range s.shards {
-			if sh.busy {
-				consider(s.sim.Core(k).Now(), evStep, k)
-			} else if len(sh.queue) > 0 {
-				consider(s.startTime(sh, k), evStart, k)
+			if sh.Busy {
+				pk.Offer(multicore.Key{T: sh.Now(), Class: evStep, Idx: k})
+			} else if sh.Len() > 0 {
+				pk.Offer(multicore.Key{T: sh.StartTime(), Class: evStart, Idx: k})
 			}
 		}
-		if bestKind == -1 {
+		best, ok := pk.Best()
+		if !ok {
 			break
 		}
-		switch bestKind {
+		switch best.Class {
 		case evArrival:
-			r := arrivals[idx]
+			s.arrive(arrivals[idx])
 			idx++
-			s.arrive(r)
 		case evStart:
-			s.startRun(s.shards[bestShard], bestShard, bestT)
+			s.startRun(s.shards[best.Idx], best.T)
 		case evStep:
-			s.stepShard(s.shards[bestShard], bestShard, secondT)
+			s.stepShard(s.shards[best.Idx], best, pk.Horizon())
 		}
 		if s.err != nil {
 			return s.err
@@ -553,91 +519,53 @@ func (s *server) loop(arrivals []request) error {
 	return nil
 }
 
-// arrive offers one request to its shard's FIFO.
-func (s *server) arrive(r request) {
+// arrive offers one request to the FIFO of the shard its key hashes to.
+func (s *server) arrive(r Arrival) {
 	s.stats.Offered++
-	sh := s.shards[r.shard]
-	if len(sh.queue) >= s.cfg.QueueCap {
+	sh := s.shards[mix.SplitMix64(r.Key)%uint64(s.cfg.Cores)]
+	if sh.Len() >= s.cfg.QueueCap {
 		s.stats.Dropped++
-		if r.at > s.stats.SpanCycles {
-			s.stats.SpanCycles = r.at
+		if r.At > s.stats.SpanCycles {
+			s.stats.SpanCycles = r.At
 		}
-		s.tl.Instant(obs.TrackService, "service.drop", r.at)
+		s.tl.Instant(obs.TrackService, "service.drop", r.At)
 		return
 	}
-	s.noteDepth(sh, r.at)
-	sh.queue = append(sh.queue, r)
+	s.noteDepth(sh, r.At)
+	sh.Push(r)
 	s.stats.Admitted++
-	if len(sh.queue) > s.stats.MaxQueueDepth {
-		s.stats.MaxQueueDepth = len(sh.queue)
+	if sh.Len() > s.stats.MaxQueueDepth {
+		s.stats.MaxQueueDepth = sh.Len()
 	}
-	s.tl.Count(obs.TrackService, "service.queue_depth", r.at, uint64(len(sh.queue)))
+	s.tl.Count(obs.TrackService, "service.queue_depth", r.At, uint64(sh.Len()))
 }
 
-// startRun admits the whole queue at cycle t as one back-to-back trace:
-// per request an application preamble (dependent ALU chain) plus the
-// structure operation, partitioned into commit groups of up to BatchMax.
-// With BatchMax > 1 each group's persist barriers coalesce into one trio
-// at the group boundary. Every group ends with a sentinel store whose
-// commit event marks the group durable.
-func (s *server) startRun(sh *shard, k int, t uint64) {
+// startRun admits the shard's whole queue at cycle t as one run
+// (Lane.Start).
+func (s *server) startRun(sh *shard, t uint64) {
 	s.noteDepth(sh, t)
-	run := sh.queue
-	sh.queue = nil
 	s.tl.Count(obs.TrackService, "service.queue_depth", t, 0)
 	s.stats.Runs++
-
-	sh.be.BeginRun()
-	overhead := s.cfg.OpOverhead
-	if overhead < 0 {
-		overhead = 0
-	}
-	for len(run) > 0 {
-		n := len(run)
-		if n > s.cfg.BatchMax {
-			n = s.cfg.BatchMax
-		}
-		group := run[:n]
-		run = run[n:]
-		ops := make([]Op, len(group))
-		for i, r := range group {
-			ops[i] = Op{Key: r.key, Get: r.get}
-		}
-		sh.be.AppendGroup(ops, overhead)
-		sh.inflight = append(sh.inflight, group)
-		s.stats.Batches++
-		if n > 1 {
-			s.stats.GroupedRequests += uint64(n)
-		}
-	}
-	sh.be.EndRun()
-
-	s.sim.Core(k).AdvanceTo(t)
-	s.sim.StartCore(k, &sh.be.Buf)
-	sh.busy = true
-	sh.runStart = t
+	groups, grouped := sh.Start(t)
+	s.stats.Batches += groups
+	s.stats.GroupedRequests += grouped
 }
 
 // completeGroup fires from core k's commit hook when a sentinel store
 // reaches the memory system: the oldest in-flight group just became
 // durable at the core's current cycle.
 func (s *server) completeGroup(sh *shard, k int) {
-	if len(sh.inflight) == 0 {
+	group, done, ok := sh.Complete()
+	if !ok {
 		s.err = fmt.Errorf("service: shard %d sentinel committed with no in-flight group", k)
 		return
 	}
-	done := s.sim.Core(k).Now()
-	group := sh.inflight[0]
-	sh.inflight = sh.inflight[1:]
-	for i, r := range group {
-		if debugCompletions != nil {
-			debugCompletions(k, i, r.at, done)
-		}
-		if done < r.at {
-			s.err = fmt.Errorf("service: shard %d request completed at %d before its arrival %d", k, done, r.at)
+	for _, r := range group {
+		if done < r.At {
+			s.err = fmt.Errorf("service: shard %d request completed at %d before its arrival %d", k, done, r.At)
 			return
 		}
-		s.hist.Observe(done - r.at)
+		s.hist.Observe(done - r.At)
 	}
 	s.stats.Completed += uint64(len(group))
 	if done > s.stats.SpanCycles {
@@ -646,30 +574,25 @@ func (s *server) completeGroup(sh *shard, k int) {
 	s.tl.Instant(obs.TrackService, "service.commit", done)
 }
 
-// stepShard advances one busy core; completions happen via the commit
-// hook as sentinels drain, and the run ends when the core drains fully.
-// The core steps in a batch while its clock stays strictly below limit —
-// the next scheduler event. Every competing event time is frozen while
-// this core runs (arrivals are precomputed, idle shards' start times
-// depend only on their queue and their own clock, and other busy cores'
-// clocks only increase), so re-scanning per cycle would pick this core
-// again; the batch is exact, not approximate. Equal-cycle events win
-// against a step (evStep orders last), hence the strict comparison.
-func (s *server) stepShard(sh *shard, k int, limit uint64) {
-	for {
-		if !s.sim.StepCore(k) {
-			if len(sh.inflight) > 0 && s.err == nil {
-				s.err = fmt.Errorf("service: shard %d drained with %d in-flight groups", k, len(sh.inflight))
-			}
-			s.tl.Span(obs.TrackService, "service.run", sh.runStart, s.sim.Core(k).Now())
-			sh.busy = false
-			return
-		}
-		if s.err != nil || s.sim.Core(k).Now() >= limit {
-			return
-		}
+// stepShard advances one busy core in a batch (Lane.Step) until its key
+// reaches the picker's horizon; completions happen via the commit hook as
+// sentinels drain, and the run ends when the core drains fully. Every
+// competing event is frozen while this core runs (arrivals are
+// precomputed, idle shards' start times depend only on their queue and
+// their own clock, and other busy cores' clocks only increase), so the
+// batch is exact, not approximate.
+func (s *server) stepShard(sh *shard, self, horizon multicore.Key) {
+	if !sh.Step(self, horizon, s.failed) {
+		return
 	}
+	if n := sh.Inflight(); n > 0 && s.err == nil {
+		s.err = fmt.Errorf("service: shard %d drained with %d in-flight groups", self.Idx, n)
+	}
+	s.tl.Span(obs.TrackService, "service.run", sh.RunStart, sh.Now())
 }
+
+// failed stops a step batch once completion accounting broke.
+func (s *server) failed(uint64) bool { return s.err != nil }
 
 // result assembles the Result from the finished server.
 func (s *server) result() Result {
@@ -692,12 +615,3 @@ func (s *server) result() Result {
 	r.Metrics = m
 	return r
 }
-
-// debugCompletions, when set by tests, observes every (arrival, done) pair.
-var debugCompletions func(shard, reqID int, at, done uint64)
-
-// debugRefStepping, when set by tests, switches every core to the CPU's
-// reference (map-based) stepping mode before the run, so the
-// stepping-equivalence suite can compare a whole service run against the
-// production fast path.
-var debugRefStepping bool

@@ -159,11 +159,11 @@ func TestBurstyArrivals(t *testing.T) {
 	reqs := genArrivals(cfg)
 	onLen := uint64(float64(cfg.BurstPeriod) * cfg.BurstOnFrac)
 	for i, r := range reqs {
-		if phase := r.at % cfg.BurstPeriod; phase > onLen {
-			t.Fatalf("request %d arrives at %d (phase %d), outside the %d-cycle ON window", i, r.at, phase, onLen)
+		if phase := r.At % cfg.BurstPeriod; phase > onLen {
+			t.Fatalf("request %d arrives at %d (phase %d), outside the %d-cycle ON window", i, r.At, phase, onLen)
 		}
-		if i > 0 && r.at < reqs[i-1].at {
-			t.Fatalf("arrivals not sorted: %d after %d", r.at, reqs[i-1].at)
+		if i > 0 && r.At < reqs[i-1].At {
+			t.Fatalf("arrivals not sorted: %d after %d", r.At, reqs[i-1].At)
 		}
 	}
 	res, err := Run(cfg)
@@ -286,29 +286,42 @@ func TestArrivalScheduleIsSeedStable(t *testing.T) {
 // scenario (2 shards, K=8, saturating rate) reproduced the original
 // time-travel underflow.
 func TestGroupStartNeverPrecedesMemberArrival(t *testing.T) {
-	defer func() { debugCompletions = nil }()
-	lastDone := map[int]uint64{}
-	var completions int
-	debugCompletions = func(shard, i int, at, done uint64) {
-		completions++
-		if done < at {
-			t.Errorf("shard %d member %d: durable at cycle %d before its arrival %d", shard, i, done, at)
-		}
-		if done < lastDone[shard] {
-			t.Errorf("shard %d: completion cycle %d went backwards from %d", shard, done, lastDone[shard])
-		}
-		lastDone[shard] = done
-	}
 	cfg := DefaultConfig()
 	cfg.Rate = 2000
 	cfg.Cores = 2
 	cfg.BatchMax = 8
 	cfg.BatchDeadline = 5000
-	res, err := Run(cfg)
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	lastDone := map[int]uint64{}
+	var completions int
+	for k, sh := range s.shards {
+		// Observe each (arrival, done) pair of the group about to
+		// complete, then complete it as the production hook does.
+		sh.Be.BindSentinel(s.sim, k, func() {
+			if sh.Inflight() > 0 {
+				done := sh.Now()
+				for i, r := range sh.inflight[0] {
+					completions++
+					if done < r.At {
+						t.Errorf("shard %d member %d: durable at cycle %d before its arrival %d", k, i, done, r.At)
+					}
+					if done < lastDone[k] {
+						t.Errorf("shard %d: completion cycle %d went backwards from %d", k, done, lastDone[k])
+					}
+					lastDone[k] = done
+				}
+			}
+			s.completeGroup(sh, k)
+		})
+	}
+	res, err := s.run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if uint64(completions) != res.Stats.Completed || completions == 0 {
-		t.Fatalf("debug hook saw %d completions, stats say %d", completions, res.Stats.Completed)
+		t.Fatalf("completion hook saw %d completions, stats say %d", completions, res.Stats.Completed)
 	}
 }

@@ -3,6 +3,8 @@ package vstore
 import (
 	"fmt"
 	"math/bits"
+
+	"specpersist/internal/mix"
 )
 
 // Prolly-style content-defined chunking: the ordered (key, value) entry
@@ -28,7 +30,7 @@ type Chunk struct {
 var buzTable = func() [256]uint64 {
 	var t [256]uint64
 	for i := range t {
-		t[i] = mix64(uint64(i) + 0x9e3779b97f4a7c15)
+		t[i] = mix.SplitMix64(uint64(i) + 0x9e3779b97f4a7c15)
 	}
 	return t
 }()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"specpersist/internal/exec"
+	"specpersist/internal/mix"
 	"specpersist/internal/pmem"
 )
 
@@ -47,11 +48,11 @@ func FuzzVstoreOps(f *testing.F) {
 					s.Delete(key)
 					delete(model, key)
 				} else {
-					s.Put(key, mix64(key)+uint64(op))
-					model[key] = mix64(key) + uint64(op)
+					s.Put(key, mix.SplitMix64(key)+uint64(op))
+					model[key] = mix.SplitMix64(key) + uint64(op)
 				}
 			case 2:
-				val := mix64(key ^ uint64(op))
+				val := mix.SplitMix64(key ^ uint64(op))
 				s.Put(key, val)
 				model[key] = val
 			case 3:
