@@ -11,6 +11,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"specpersist/internal/mem"
 	"specpersist/internal/memctl"
 	"specpersist/internal/obs"
@@ -57,10 +59,19 @@ type line struct {
 	lru   uint64
 }
 
+// level is one set-associative cache level. A set's ways are allocated
+// on the first insert into it, as one block appended to lines; slot maps
+// each set to its block. A set without a block misses every lookup
+// exactly as a set of invalid lines would, so hits, misses, victims and
+// writebacks are the same as with every set built up front, while a
+// machine that touches a handful of lines (a litmus program's) allocates
+// a 4-byte slot per set and only the blocks it uses.
 type level struct {
 	cfg     LevelConfig
-	sets    [][]line
+	slot    []uint32 // per set: 1 + its block's index in lines, 0 = no block yet
+	lines   []line   // allocated sets' ways, cfg.Ways per block, in first-insert order
 	setMask uint64
+	setBits uint // popcount(setMask): the tag shift
 	tick    uint64
 	stats   *LevelStats
 }
@@ -71,31 +82,36 @@ func newLevel(cfg LevelConfig, stats *LevelStats) *level {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	return &level{
+		cfg:     cfg,
+		slot:    make([]uint32, nsets),
+		setMask: uint64(nsets - 1),
+		setBits: uint(bits.OnesCount64(uint64(nsets - 1))),
+		stats:   stats,
 	}
-	return &level{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), stats: stats}
+}
+
+// ways returns a set's lines, or nil for a set never inserted into. The
+// slice aliases lines, so it is only valid until the next insert.
+func (l *level) ways(set uint64) []line {
+	s := int(l.slot[set])
+	if s == 0 {
+		return nil
+	}
+	return l.lines[(s-1)*l.cfg.Ways : s*l.cfg.Ways]
 }
 
 func (l *level) index(lineAddr uint64) (set uint64, tag uint64) {
 	blk := lineAddr / mem.LineSize
-	return blk & l.setMask, blk >> uint(popcount(l.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x >>= 1 {
-		n += int(x & 1)
-	}
-	return n
+	return blk & l.setMask, blk >> l.setBits
 }
 
 // lookup finds the way holding lineAddr, or -1.
 func (l *level) lookup(lineAddr uint64) int {
 	set, tag := l.index(lineAddr)
-	for w := range l.sets[set] {
-		if l.sets[set][w].valid && l.sets[set][w].tag == tag {
+	ways := l.ways(set)
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
 			return w
 		}
 	}
@@ -106,14 +122,18 @@ func (l *level) lookup(lineAddr uint64) int {
 func (l *level) touch(lineAddr uint64, way int) {
 	set, _ := l.index(lineAddr)
 	l.tick++
-	l.sets[set][way].lru = l.tick
+	l.ways(set)[way].lru = l.tick
 }
 
 // insert places lineAddr into the level, returning the victim's address and
 // dirtiness if a valid line was evicted.
 func (l *level) insert(lineAddr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
 	set, tag := l.index(lineAddr)
-	ways := l.sets[set]
+	if l.slot[set] == 0 {
+		l.lines = append(l.lines, make([]line, l.cfg.Ways)...)
+		l.slot[set] = uint32(len(l.lines) / l.cfg.Ways)
+	}
+	ways := l.ways(set)
 	victim := 0
 	for w := range ways {
 		if !ways[w].valid {
@@ -126,7 +146,7 @@ func (l *level) insert(lineAddr uint64, dirty bool) (victimAddr uint64, victimDi
 		}
 	}
 	evicted = true
-	victimAddr = ((ways[victim].tag << uint(popcount(l.setMask))) | set) * mem.LineSize
+	victimAddr = ((ways[victim].tag << l.setBits) | set) * mem.LineSize
 	victimDirty = ways[victim].dirty
 	l.stats.Evictions++
 	if victimDirty {
@@ -142,8 +162,9 @@ place:
 func (l *level) invalidate(lineAddr uint64) (present, dirty bool) {
 	if w := l.lookup(lineAddr); w >= 0 {
 		set, _ := l.index(lineAddr)
-		dirty = l.sets[set][w].dirty
-		l.sets[set][w] = line{}
+		ways := l.ways(set)
+		dirty = ways[w].dirty
+		ways[w] = line{}
 		return true, dirty
 	}
 	return false, false
@@ -153,7 +174,7 @@ func (l *level) invalidate(lineAddr uint64) (present, dirty bool) {
 func (l *level) setDirty(lineAddr uint64, d bool) {
 	if w := l.lookup(lineAddr); w >= 0 {
 		set, _ := l.index(lineAddr)
-		l.sets[set][w].dirty = d
+		l.ways(set)[w].dirty = d
 	}
 }
 
@@ -269,12 +290,13 @@ func (h *Hierarchy) Flush(addr uint64, now uint64, evict bool) uint64 {
 		lat += l.cfg.Latency
 		if w := l.lookup(lineAddr); w >= 0 {
 			set, _ := l.index(lineAddr)
-			if l.sets[set][w].dirty {
+			ways := l.ways(set)
+			if ways[w].dirty {
 				dirty = true
-				l.sets[set][w].dirty = false
+				ways[w].dirty = false
 			}
 			if evict {
-				l.sets[set][w] = line{}
+				ways[w] = line{}
 			}
 			// Keep walking: lower levels may hold a stale dirty copy only
 			// if the upper one was clean; in an inclusive hierarchy the
@@ -308,7 +330,7 @@ func (h *Hierarchy) Dirty(addr uint64) bool {
 	for _, l := range h.levels() {
 		if w := l.lookup(lineAddr); w >= 0 {
 			set, _ := l.index(lineAddr)
-			if l.sets[set][w].dirty {
+			if l.ways(set)[w].dirty {
 				return true
 			}
 		}

@@ -176,8 +176,27 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	mc := memctl.New(memctl.DefaultConfig())
 	h := New(cfg, mc)
 	// 32KB/8w/64B = 64 sets; 256KB/8w = 512 sets; 2MB/16w = 2048 sets.
-	if len(h.l1.sets) != 64 || len(h.l2.sets) != 512 || len(h.l3.sets) != 2048 {
-		t.Errorf("set counts = %d/%d/%d", len(h.l1.sets), len(h.l2.sets), len(h.l3.sets))
+	if len(h.l1.slot) != 64 || len(h.l2.slot) != 512 || len(h.l3.slot) != 2048 {
+		t.Errorf("set counts = %d/%d/%d", len(h.l1.slot), len(h.l2.slot), len(h.l3.slot))
+	}
+}
+
+// TestNewAllocatesNoSets: building the default hierarchy costs a constant
+// handful of allocations, not one per set. Its 2,624 sets hold 37,376
+// lines (about 0.9 MB), which would dominate every short-lived machine
+// such as a litmus program's; sets are allocated on their first insert.
+func TestNewAllocatesNoSets(t *testing.T) {
+	mc := memctl.New(memctl.DefaultConfig())
+	allocs := testing.AllocsPerRun(10, func() { New(DefaultConfig(), mc) })
+	if allocs > 8 {
+		t.Errorf("New made %.0f allocations, want at most 8", allocs)
+	}
+	h := New(DefaultConfig(), mc)
+	h.Store(0x1000, 0)
+	for _, l := range h.levels() {
+		if len(l.lines) != l.cfg.Ways {
+			t.Errorf("one store allocated %d lines in a level, want one set's %d", len(l.lines), l.cfg.Ways)
+		}
 	}
 }
 
