@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"specpersist/internal/mem"
 )
@@ -154,16 +155,22 @@ func (p *Program) String() string {
 // chunkRef identifies one 8-byte atomic write unit of the footprint.
 type chunkRef struct{ line, idx int }
 
+// bytePos places one byte of a location in a chunk image.
+type bytePos struct{ chunk, off uint8 }
+
 // plan is a validated program compiled for the explorers: dense line and
-// chunk indices, resolved locations, simulator addresses.
+// chunk indices, resolved locations, simulator addresses. Everything an
+// explorer transition needs is a slice index, never a map lookup.
 type plan struct {
 	p        *Program
 	locIdx   map[string]int
 	lines    []int       // distinct line numbers used, ascending
 	lineIdx  map[int]int // line number -> dense index
 	chunks   []chunkRef  // footprint chunks, sorted (line, idx)
-	chunkIdx map[chunkRef]int
-	byName   []int // loc indices sorted by name (outcome order)
+	chunkBit []uint8     // per chunk: its dense line's mask bit
+	locBytes [][]bytePos // per location: its bytes' positions, little-endian order
+	locLine  []int       // per location: dense line index
+	byName   []int       // loc indices sorted by name (outcome order)
 }
 
 // compile validates and indexes the program.
@@ -172,10 +179,9 @@ func compile(p *Program) (*plan, error) {
 		return nil, err
 	}
 	pl := &plan{
-		p:        p,
-		locIdx:   make(map[string]int, len(p.Locs)),
-		lineIdx:  make(map[int]int),
-		chunkIdx: make(map[chunkRef]int),
+		p:       p,
+		locIdx:  make(map[string]int, len(p.Locs)),
+		lineIdx: make(map[int]int),
 	}
 	for i, l := range p.Locs {
 		pl.locIdx[l.Name] = i
@@ -188,11 +194,12 @@ func compile(p *Program) (*plan, error) {
 	for i, line := range pl.lines {
 		pl.lineIdx[line] = i
 	}
+	chunkIdx := make(map[chunkRef]int)
 	for _, l := range p.Locs {
 		for b := 0; b < l.Size; b++ {
 			c := chunkRef{line: l.Line, idx: (l.Off + b) / 8}
-			if _, ok := pl.chunkIdx[c]; !ok {
-				pl.chunkIdx[c] = 0
+			if _, ok := chunkIdx[c]; !ok {
+				chunkIdx[c] = 0
 				pl.chunks = append(pl.chunks, c)
 			}
 		}
@@ -201,8 +208,19 @@ func compile(p *Program) (*plan, error) {
 		a, b := pl.chunks[i], pl.chunks[j]
 		return a.line < b.line || (a.line == b.line && a.idx < b.idx)
 	})
+	pl.chunkBit = make([]uint8, len(pl.chunks))
 	for i, c := range pl.chunks {
-		pl.chunkIdx[c] = i
+		chunkIdx[c] = i
+		pl.chunkBit[i] = 1 << pl.lineIdx[c.line]
+	}
+	pl.locBytes = make([][]bytePos, len(p.Locs))
+	pl.locLine = make([]int, len(p.Locs))
+	for i, l := range p.Locs {
+		pl.locLine[i] = pl.lineIdx[l.Line]
+		for b := 0; b < l.Size; b++ {
+			ci := chunkIdx[chunkRef{line: l.Line, idx: (l.Off + b) / 8}]
+			pl.locBytes[i] = append(pl.locBytes[i], bytePos{chunk: uint8(ci), off: uint8((l.Off + b) % 8)})
+		}
 	}
 	pl.byName = make([]int, len(p.Locs))
 	for i := range pl.byName {
@@ -213,6 +231,9 @@ func compile(p *Program) (*plan, error) {
 	})
 	return pl, nil
 }
+
+// opLine returns the dense line index of the location an op names.
+func (pl *plan) opLine(op Op) int { return pl.locLine[pl.locIdx[op.Loc]] }
 
 // addr returns the simulator address of a location.
 func (pl *plan) addr(l Loc) uint64 {
@@ -247,14 +268,13 @@ type memState struct {
 	dirty         uint8 // line written since its last flush
 }
 
-// storeLoc applies a store to the volatile view and dirties the line.
+// storeLoc applies a store to location li to the volatile view and
+// dirties the line. All three explorers apply stores through it.
 func (pl *plan) storeLoc(st *memState, li int, val uint64) {
-	l := pl.p.Locs[li]
-	for b := 0; b < l.Size; b++ {
-		ci := pl.chunkIdx[chunkRef{line: l.Line, idx: (l.Off + b) / 8}]
-		st.vol[ci][(l.Off+b)%8] = byte(val >> (8 * b))
+	for b, p := range pl.locBytes[li] {
+		st.vol[p.chunk][p.off] = byte(val >> (8 * b))
 	}
-	st.dirty |= 1 << pl.lineIdx[l.Line]
+	st.dirty |= 1 << pl.locLine[li]
 }
 
 // flushLine snapshots a dirty line into the WPQ (pmem.Clwb semantics: a
@@ -264,9 +284,8 @@ func (pl *plan) flushLine(st *memState, li int) {
 	if st.dirty&bit == 0 {
 		return
 	}
-	line := pl.lines[li]
-	for ci, c := range pl.chunks {
-		if c.line == line {
+	for ci, cb := range pl.chunkBit {
+		if cb == bit {
 			st.wpq[ci] = st.vol[ci]
 		}
 	}
@@ -279,8 +298,8 @@ func (pl *plan) drainWPQ(st *memState) {
 	if st.wpqMask == 0 {
 		return
 	}
-	for ci, c := range pl.chunks {
-		if st.wpqMask&(1<<pl.lineIdx[c.line]) != 0 {
+	for ci, cb := range pl.chunkBit {
+		if st.wpqMask&cb != 0 {
 			st.dur[ci] = st.wpq[ci]
 		}
 	}
@@ -289,28 +308,25 @@ func (pl *plan) drainWPQ(st *memState) {
 
 // readLoc extracts a location's little-endian value from a chunk image.
 func (pl *plan) readLoc(img *[maxChunks]chunk, li int) uint64 {
-	l := pl.p.Locs[li]
 	var v uint64
-	for b := 0; b < l.Size; b++ {
-		ci := pl.chunkIdx[chunkRef{line: l.Line, idx: (l.Off + b) / 8}]
-		v |= uint64(img[ci][(l.Off+b)%8]) << (8 * b)
+	for b, p := range pl.locBytes[li] {
+		v |= uint64(img[p.chunk][p.off]) << (8 * b)
 	}
 	return v
 }
 
-// outcome renders a chunk image as the canonical outcome string: locations
-// in name order, "name=value", space-separated.
-func (pl *plan) outcome(img *[maxChunks]chunk) string {
-	buf := make([]byte, 0, 16*len(pl.byName))
+// appendOutcome renders a chunk image as the canonical outcome string:
+// locations in name order, "name=value", space-separated.
+func (pl *plan) appendOutcome(buf []byte, img *[maxChunks]chunk) []byte {
 	for i, li := range pl.byName {
 		if i > 0 {
 			buf = append(buf, ' ')
 		}
 		buf = append(buf, pl.p.Locs[li].Name...)
 		buf = append(buf, '=')
-		buf = fmt.Appendf(buf, "%d", pl.readLoc(img, li))
+		buf = strconv.AppendUint(buf, pl.readLoc(img, li), 10)
 	}
-	return string(buf)
+	return buf
 }
 
 // crashOutcomes enumerates every durable image a crash at this state can
@@ -323,8 +339,7 @@ func (pl *plan) crashOutcomes(st *memState, set map[string]struct{}) {
 	var opts [maxChunks][3]chunk
 	var nOpts [maxChunks]int
 	n := len(pl.chunks)
-	for ci, c := range pl.chunks {
-		bit := uint8(1) << pl.lineIdx[c.line]
+	for ci, bit := range pl.chunkBit {
 		opts[ci][0] = st.dur[ci]
 		nOpts[ci] = 1
 		if st.wpqMask&bit != 0 && st.wpq[ci] != st.dur[ci] {
@@ -346,23 +361,31 @@ func (pl *plan) crashOutcomes(st *memState, set map[string]struct{}) {
 			}
 		}
 	}
+	// Walk the fate product as an odometer; an outcome string is
+	// allocated only when it is new to the set.
 	var img [maxChunks]chunk
-	var rec func(ci int)
-	rec = func(ci int) {
-		if ci == n {
-			set[outcomeKey(pl, &img)] = struct{}{}
+	var pick [maxChunks]int
+	key := make([]byte, 0, 64)
+	for {
+		for ci := 0; ci < n; ci++ {
+			img[ci] = opts[ci][pick[ci]]
+		}
+		key = pl.appendOutcome(key[:0], &img)
+		if _, ok := set[string(key)]; !ok {
+			set[string(key)] = struct{}{}
+		}
+		ci := n - 1
+		for ; ci >= 0; ci-- {
+			if pick[ci]++; pick[ci] < nOpts[ci] {
+				break
+			}
+			pick[ci] = 0
+		}
+		if ci < 0 {
 			return
 		}
-		for k := 0; k < nOpts[ci]; k++ {
-			img[ci] = opts[ci][k]
-			rec(ci + 1)
-		}
 	}
-	rec(0)
 }
-
-// outcomeKey is pl.outcome; split out so crashOutcomes reads clearly.
-func outcomeKey(pl *plan, img *[maxChunks]chunk) string { return pl.outcome(img) }
 
 // sortedOutcomes flattens an outcome set into its canonical sorted list.
 func sortedOutcomes(set map[string]struct{}) []string {

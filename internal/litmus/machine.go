@@ -64,8 +64,7 @@ func Modes(p *Program) []Mode {
 type mevent struct {
 	op   isa.Op
 	line int // dense line index; -1 for pcommit
-	off  int // store only: byte offset within the line
-	size int
+	loc  int // store only: location index
 	val  uint64
 }
 
@@ -205,7 +204,7 @@ func attachValues(pl *plan, t int, log []cpu.CommitEvent) ([]mevent, error) {
 			if want := pl.addr(l); e.Addr != want {
 				return nil, fmt.Errorf("core %d store commit %d at %#x, program order says %#x (%s)", t, k, e.Addr, want, l.Name)
 			}
-			out = append(out, mevent{op: isa.Store, line: pl.lineIdx[l.Line], off: l.Off, size: l.Size, val: stores[k].val})
+			out = append(out, mevent{op: isa.Store, line: pl.locLine[stores[k].loc], loc: stores[k].loc, val: stores[k].val})
 			k++
 		case isa.Clwb, isa.Clflushopt, isa.Clflush:
 			li := pl.lineOf(mem.LineAddr(e.Addr))
@@ -217,7 +216,7 @@ func attachValues(pl *plan, t int, log []cpu.CommitEvent) ([]mevent, error) {
 			}
 			if p := persists[j]; p.Kind == OpPcommit {
 				return nil, fmt.Errorf("core %d persist commit %d is a flush of line %d, program order says pcommit", t, j, li)
-			} else if want := pl.lineIdx[pl.p.Locs[pl.locIdx[p.Loc]].Line]; want != li {
+			} else if want := pl.opLine(p); want != li {
 				return nil, fmt.Errorf("core %d persist commit %d flushes line %d, program order says %d", t, j, li, want)
 			}
 			out = append(out, mevent{op: e.Op, line: li})
@@ -338,20 +337,14 @@ func machineOutcomes(pl *plan, streams [][]mevent, maxStates int) (map[string]st
 			next.pos[c]++
 			switch e.op {
 			case isa.Store:
-				line := pl.lines[e.line]
-				for b := 0; b < e.size; b++ {
-					ci := pl.chunkIdx[chunkRef{line: line, idx: (e.off + b) / 8}]
-					m.vol[ci][(e.off+b)%8] = byte(e.val >> (8 * b))
-				}
-				m.dirty |= 1 << e.line
+				pl.storeLoc(&m, e.loc, e.val)
 			case isa.Clwb, isa.Clflushopt, isa.Clflush:
 				pl.flushLine(&m, e.line)
 			case isa.Pcommit:
 				pl.drainWPQ(&m)
 			}
-			next.mem = mi.intern(&m)
-			if _, ok := visited[next]; !ok {
-				visited[next] = struct{}{}
+			next.mem = mi.intern(&m, k.mem)
+			if visit(visited, next) {
 				queue = append(queue, next)
 			}
 		}

@@ -43,13 +43,13 @@ func buildSlack(pl *plan) []slackThread {
 		for _, op := range th {
 			switch op.Kind {
 			case OpStore:
-				l := pl.p.Locs[pl.locIdx[op.Loc]]
-				li := pl.lineIdx[l.Line]
-				st.stores = append(st.stores, mevent{op: isa.Store, line: li, off: l.Off, size: l.Size, val: op.Val})
+				loc := pl.locIdx[op.Loc]
+				li := pl.locLine[loc]
+				st.stores = append(st.stores, mevent{op: isa.Store, line: li, loc: loc, val: op.Val})
 				st.storeMinJ = append(st.storeMinJ, len(st.persists))
 				lastSameLine[li] = len(st.stores)
 			case OpClwb, OpClflushOpt:
-				li := pl.lineIdx[pl.p.Locs[pl.locIdx[op.Loc]].Line]
+				li := pl.opLine(op)
 				minK := lastSameLine[li]
 				if fenceBound > minK {
 					minK = fenceBound
@@ -91,11 +91,12 @@ func slackOutcomes(pl *plan, maxStates int) (map[string]struct{}, int, error) {
 	var start slackKey
 	queue := []slackKey{start}
 	visited[start] = struct{}{}
-	push := func(k slackKey, m *memState) {
-		k.mem = mi.intern(m)
-		if _, ok := visited[k]; !ok {
-			visited[k] = struct{}{}
-			queue = append(queue, k)
+	// next is a copy of the key being expanded, so next.mem still names
+	// the memory image the transition started from.
+	push := func(next slackKey, m *memState) {
+		next.mem = mi.intern(m, next.mem)
+		if visit(visited, next) {
+			queue = append(queue, next)
 		}
 	}
 	for len(queue) > 0 {
@@ -111,11 +112,7 @@ func slackOutcomes(pl *plan, maxStates int) (map[string]struct{}, int, error) {
 				e := th.stores[k]
 				next, m := s, mem
 				next.k[t]++
-				for b := 0; b < e.size; b++ {
-					ci := pl.chunkIdx[chunkRef{line: pl.lines[e.line], idx: (e.off + b) / 8}]
-					m.vol[ci][(e.off+b)%8] = byte(e.val >> (8 * b))
-				}
-				m.dirty |= 1 << e.line
+				pl.storeLoc(&m, e.loc, e.val)
 				push(next, &m)
 			}
 			if j := int(s.j[t]); j < len(th.persists) && th.persistMinK[j] <= int(s.k[t]) {
