@@ -11,6 +11,7 @@
 //
 //	litmus -programs 5000                    # campaign; exit 1 on any violation
 //	litmus -programs 500 -workers 8 -json    # machine-readable summary
+//	litmus -programs 5000 -progress          # per-program progress/ETA on stderr
 //	litmus -weaken-ref -expect-violations    # CI negative control
 //	litmus -replay minimal.json              # re-check one shrunk reproducer
 //
@@ -29,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -48,6 +50,7 @@ type options struct {
 	out              string
 	replay           string
 	jsonOut          bool
+	progress         bool
 }
 
 // jsonDoc is the -json document: the campaign summary (or the single
@@ -87,6 +90,7 @@ func run(args []string, w *os.File) error {
 	fs.StringVar(&o.out, "out", "", "write the minimized violating program JSON here")
 	fs.StringVar(&o.replay, "replay", "", "re-check one reproducer JSON file instead of running a campaign")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the summary as JSON")
+	fs.BoolVar(&o.progress, "progress", false, "print a completed/total, programs/s and ETA line per finished program to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,6 +107,10 @@ func runCampaign(o options, w *os.File) error {
 	if o.programs < 0 {
 		return fmt.Errorf("-programs must be non-negative, got %d", o.programs)
 	}
+	var progress io.Writer
+	if o.progress {
+		progress = os.Stderr
+	}
 	res, err := litmus.Campaign(litmus.CampaignConfig{
 		Curated:   o.curated,
 		Programs:  o.programs,
@@ -110,7 +118,7 @@ func runCampaign(o options, w *os.File) error {
 		Workers:   o.workers,
 		Weaken:    o.weakenRef,
 		MaxStates: o.maxStates,
-	})
+	}, progress)
 	if err != nil {
 		return err
 	}

@@ -35,13 +35,14 @@ func TestCampaignStrictClean(t *testing.T) {
 }
 
 // TestWorkersByteDeterminism: the -json campaign document must be
-// byte-identical at -workers 1 and -workers 8.
+// byte-identical at -workers 1 and -workers 8, and -progress (which
+// writes to stderr) must not change it.
 func TestWorkersByteDeterminism(t *testing.T) {
 	one, err := capture(t, "-programs", "30", "-seed", "5", "-workers", "1", "-json")
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
-	eight, err := capture(t, "-programs", "30", "-seed", "5", "-workers", "8", "-json")
+	eight, err := capture(t, "-programs", "30", "-seed", "5", "-workers", "8", "-json", "-progress")
 	if err != nil {
 		t.Fatalf("workers=8: %v", err)
 	}

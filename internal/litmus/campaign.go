@@ -3,6 +3,8 @@ package litmus
 import (
 	"errors"
 	"fmt"
+	"io"
+	"time"
 
 	"specpersist/internal/sweep"
 )
@@ -87,8 +89,10 @@ func TrialProgram(cfg CampaignConfig, i int) (Program, error) {
 // Campaign checks every trial on a sweep worker pool and aggregates in
 // trial order. An error means a harness failure in some trial; contract
 // breaches are counted, kept in each trial's Violations, and left to the
-// caller's exit-status policy.
-func Campaign(cfg CampaignConfig) (CampaignResult, error) {
+// caller's exit-status policy. A non-nil progress receives the sweep
+// engine's per-item progress line for every finished trial; the result
+// does not depend on it.
+func Campaign(cfg CampaignConfig, progress io.Writer) (CampaignResult, error) {
 	nCur := 0
 	if cfg.Curated {
 		nCur = len(Curated())
@@ -103,11 +107,13 @@ func Campaign(cfg CampaignConfig) (CampaignResult, error) {
 		return res, err
 	}
 	trials := make([]TrialResult, total)
+	prog := sweep.NewProgress(progress, "litmus", "programs", total)
 	err = sweep.Pool(cfg.Workers, total, func(i int) error {
 		p, err := TrialProgram(cfg, i)
 		if err != nil {
 			return err
 		}
+		start := time.Now()
 		sem := Strict()
 		if cfg.Weaken {
 			sem = Weakened()
@@ -130,6 +136,7 @@ func Campaign(cfg CampaignConfig) (CampaignResult, error) {
 			// are — their goldens already ran above) and move on.
 			tr.Capped = true
 			trials[i] = tr
+			prog.Done(p.Name, time.Since(start), "capped")
 			return nil
 		}
 		if err != nil {
@@ -148,6 +155,7 @@ func Campaign(cfg CampaignConfig) (CampaignResult, error) {
 		}
 		tr.Violations = append(tr.Violations, cres.Violations...)
 		trials[i] = tr
+		prog.Done(p.Name, time.Since(start), "")
 		return nil
 	})
 	if err != nil {

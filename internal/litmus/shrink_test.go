@@ -1,7 +1,9 @@
 package litmus
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -113,19 +115,25 @@ func TestShrinkMinimal(t *testing.T) {
 }
 
 // TestCampaignDeterministic: a campaign's full JSON result must be
-// byte-identical at any worker count — results are pure functions of
-// (seed, index) and aggregation happens in trial order.
+// byte-identical at any worker count, with or without a progress line —
+// results are pure functions of (seed, index) and aggregation happens in
+// trial order.
 func TestCampaignDeterministic(t *testing.T) {
 	cfg := CampaignConfig{Curated: true, Programs: 20, Seed: 7}
 	cfg.Workers = 1
-	one, err := Campaign(cfg)
+	one, err := Campaign(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	eight, err := Campaign(cfg)
+	var progress bytes.Buffer
+	eight, err := Campaign(cfg, &progress)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(progress.String()), "\n"); len(lines) != 25 ||
+		!strings.HasPrefix(lines[24], "litmus: [25/25] ") || !strings.Contains(lines[0], " programs/s eta ") {
+		t.Errorf("progress lines:\n%s", progress.String())
 	}
 	a, err := json.Marshal(one)
 	if err != nil {
@@ -148,7 +156,7 @@ func TestCampaignDeterministic(t *testing.T) {
 
 // TestCampaignWeakened: the weakened campaign must flag curated trials.
 func TestCampaignWeakened(t *testing.T) {
-	res, err := Campaign(CampaignConfig{Curated: true, Weaken: true, Workers: 2})
+	res, err := Campaign(CampaignConfig{Curated: true, Weaken: true, Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

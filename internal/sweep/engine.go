@@ -46,13 +46,13 @@ func (e *Engine) workers() int {
 // results are still cached).
 func (e *Engine) Run(jobs []workload.Job) ([]JobResult, error) {
 	out := make([]JobResult, len(jobs))
-	prog := newProgress(e.Progress, len(jobs))
+	prog := NewProgress(e.Progress, "sweep", "jobs", len(jobs))
 	err := Pool(e.workers(), len(jobs), func(i int) error {
 		j := jobs[i]
 		start := time.Now()
 		if r, ok := e.Cache.Get(j); ok {
 			out[i] = JobResult{Job: j, Result: r, Cached: true, Elapsed: time.Since(start)}
-			prog.done(j, out[i].Elapsed, true)
+			prog.Done(j.Label(), out[i].Elapsed, "cached")
 			return nil
 		}
 		r, err := j.Run()
@@ -63,7 +63,7 @@ func (e *Engine) Run(jobs []workload.Job) ([]JobResult, error) {
 			return err
 		}
 		out[i] = JobResult{Job: j, Result: r, Elapsed: time.Since(start)}
-		prog.done(j, out[i].Elapsed, false)
+		prog.Done(j.Label(), out[i].Elapsed, "")
 		return nil
 	})
 	if err != nil {
@@ -88,36 +88,52 @@ func (e *Engine) RunJobs(jobs []workload.Job) ([]workload.Result, error) {
 
 var _ workload.Runner = (*Engine)(nil)
 
-// progress serializes per-job completion lines with an ETA estimate.
-type progress struct {
+// Progress prints one line per completed item of a batch: the batch name,
+// completed/total, the item's label and wall time, the completion rate and
+// an ETA, e.g.
+//
+//	sweep: [3/12] LL/SP/s0.002 41ms 23.8 jobs/s eta 378ms
+//
+// Lines are serialized, so workers may call Done concurrently. A nil
+// *Progress (NewProgress with a nil writer) prints nothing.
+type Progress struct {
 	mu    sync.Mutex
 	w     io.Writer
+	name  string
+	unit  string
 	total int
 	count int
 	start time.Time
 }
 
-func newProgress(w io.Writer, total int) *progress {
-	return &progress{w: w, total: total, start: time.Now()}
+// NewProgress starts a progress line for total items of the named batch,
+// counted in unit ("jobs", "programs"); it returns nil when w is nil.
+func NewProgress(w io.Writer, name, unit string, total int) *Progress {
+	if w == nil {
+		return nil
+	}
+	return &Progress{w: w, name: name, unit: unit, total: total, start: time.Now()}
 }
 
-func (p *progress) done(j workload.Job, d time.Duration, cached bool) {
-	if p.w == nil {
+// Done records one completed item that took d; a non-empty note is
+// printed in parentheses after its time.
+func (p *Progress) Done(label string, d time.Duration, note string) {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.count++
-	suffix := ""
-	if cached {
-		suffix = " (cached)"
+	if note != "" {
+		note = " (" + note + ")"
 	}
+	elapsed := time.Since(p.start)
+	rate := float64(p.count) / elapsed.Seconds()
 	eta := ""
 	if p.count < p.total {
-		elapsed := time.Since(p.start)
 		remaining := time.Duration(float64(elapsed) / float64(p.count) * float64(p.total-p.count))
 		eta = fmt.Sprintf(" eta %s", remaining.Round(100*time.Millisecond))
 	}
-	fmt.Fprintf(p.w, "sweep: [%d/%d] %s %s%s%s\n",
-		p.count, p.total, j.Label(), d.Round(time.Millisecond), suffix, eta)
+	fmt.Fprintf(p.w, "%s: [%d/%d] %s %s%s %.1f %s/s%s\n",
+		p.name, p.count, p.total, label, d.Round(time.Millisecond), note, rate, p.unit, eta)
 }
