@@ -1,36 +1,36 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"specpersist/internal/cluster"
 )
 
-func validClusterOptions() clusterOptions {
-	return clusterOptions{
-		Structure: "HM",
-		Variant:   "SP",
-		Nodes:     3,
-		Replicas:  2,
-		VNodes:    8,
-		Rate:      50,
-		Warmup:    96,
-		Batch:     1,
-		GetFrac:   0.25,
-		NetJitter: 0.2,
-		Seed:      1,
-		SetFlags:  map[string]bool{},
+// smallFleet keeps the valid -cluster runs of these tests short.
+var smallFleet = []string{"-cluster", "-bench", "HM", "-rate", "400", "-requests", "24", "-warmup", "24", "-json"}
+
+// runFleet runs spsim -cluster with args after smallFleet and decodes the
+// -json result.
+func runFleet(t *testing.T, args ...string) cluster.Result {
+	t.Helper()
+	out, err := runArgs(append(append([]string{}, smallFleet...), args...)...)
+	if err != nil {
+		t.Fatalf("valid flags rejected: %v", err)
 	}
+	var res cluster.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("-json output is not a cluster result: %v", err)
+	}
+	return res
 }
 
 func TestBuildClusterConfigValid(t *testing.T) {
-	cfg, err := buildClusterConfig(validClusterOptions())
-	if err != nil {
-		t.Fatalf("valid options rejected: %v", err)
-	}
-	if cfg.Structure != "HM" || cfg.Nodes != 3 || cfg.Replicas != 2 {
-		t.Errorf("config not assembled from options: %+v", cfg)
+	cfg := runFleet(t).Config
+	if cfg.Structure != "HM" || cfg.Nodes != 3 || cfg.Replicas != 2 || cfg.Requests != 24 {
+		t.Errorf("config not assembled from the flags: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("assembled config fails validation: %v", err)
@@ -38,69 +38,39 @@ func TestBuildClusterConfigValid(t *testing.T) {
 }
 
 func TestBuildClusterConfigRejectsBadFlags(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*clusterOptions)
-		want string
-	}{
-		{"unknown variant", func(o *clusterOptions) { o.Variant = "Warp" }, "variant"},
-		{"non-durable variant", func(o *clusterOptions) { o.Variant = "Base" }, "durable"},
-		{"unknown structure", func(o *clusterOptions) { o.Structure = "QQ" }, "structure"},
-		{"zero rate", func(o *clusterOptions) { o.Rate = 0 }, "rate"},
-		{"zero nodes", func(o *clusterOptions) { o.Nodes = 0 }, "node"},
-		{"replicas over nodes", func(o *clusterOptions) { o.Replicas = 5 }, "replication factor"},
-		{"quorum over replicas", func(o *clusterOptions) { o.Quorum = 3 }, "quorum"},
-		{"zero vnodes", func(o *clusterOptions) { o.VNodes = 0 }, "virtual node"},
-		{"negative batch", func(o *clusterOptions) { o.Batch = -2 }, "batch"},
-		{"negative deadline", func(o *clusterOptions) { o.Deadline = -5 }, "-batch-deadline"},
-		{"negative rtt", func(o *clusterOptions) { o.NetRTT = -1 }, "-net-rtt"},
-		{"tiny rtt", func(o *clusterOptions) { o.NetRTT = 1 }, "RTT"},
-		{"jitter out of range", func(o *clusterOptions) { o.NetJitter = 1 }, "jitter"},
-		{"bad zipf", func(o *clusterOptions) { o.Zipf = 0.3 }, "zipf"},
-		{"bad get fraction", func(o *clusterOptions) { o.GetFrac = 2 }, "get fraction"},
-		{"negative crash-at", func(o *clusterOptions) { o.CrashAt = -1 }, "-crash-at"},
-		{"crash node out of range", func(o *clusterOptions) { o.CrashAt = 1000; o.CrashNode = 7 }, "crash node"},
-		{"recover without crash", func(o *clusterOptions) { o.RecoverAfter = 1000 }, "crash"},
-		{"negative rebalance", func(o *clusterOptions) { o.RebalanceEvery = -1 }, "-rebalance-every"},
-		{"negative req-deadline", func(o *clusterOptions) { o.ReqDeadline = -1 }, "-req-deadline"},
-		{"negative retry-max", func(o *clusterOptions) { o.RetryMax = -1 }, "-retry-max"},
-		{"hedge quantile out of range", func(o *clusterOptions) { o.HedgeQuantile = 1 }, "-hedge-quantile"},
-		{"negative shed high water", func(o *clusterOptions) { o.ShedHighWater = -1 }, "-shed-high-water"},
-		{"negative heartbeat", func(o *clusterOptions) { o.HeartbeatEvery = -1 }, "-heartbeat-every"},
-		{"negative lease", func(o *clusterOptions) { o.LeaseCycles = -1 }, "-lease-cycles"},
-		{"drop fraction out of range", func(o *clusterOptions) {
-			o.ChaosDrop = 1.5
-			o.SetFlags["chaos-drop"] = true
-		}, "drop"},
-		{"lossy chaos without deadline", func(o *clusterOptions) {
-			o.ChaosDrop = 0.1
-			o.SetFlags["chaos-drop"] = true
-		}, "deadline"},
-		{"heartbeats without deadline", func(o *clusterOptions) { o.HeartbeatEvery = 4000 }, "deadline"},
-		{"lease not past heartbeat", func(o *clusterOptions) {
-			o.ReqDeadline = 100_000
-			o.HeartbeatEvery = 4000
-			o.LeaseCycles = 4000
-		}, "lease"},
-		{"plan file plus inline dials", func(o *clusterOptions) {
-			o.ChaosPlanFile = "plan.json"
-			o.ChaosDup = 0.1
-			o.SetFlags["chaos-dup"] = true
-		}, "-chaos-plan"},
-		{"missing plan file", func(o *clusterOptions) { o.ChaosPlanFile = "does-not-exist.json" }, "-chaos-plan"},
-	}
-	for _, tc := range cases {
-		o := validClusterOptions()
-		tc.mut(&o)
-		_, err := buildClusterConfig(o)
-		if err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, o)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
+	testBadFlags(t, []string{"-cluster", "-bench", "HM"}, []badFlagCase{
+		{"unknown variant", []string{"-variant", "Warp"}, "variant"},
+		{"non-durable variant", []string{"-variant", "Base"}, "durable"},
+		{"unknown structure", []string{"-bench", "QQ"}, "structure"},
+		{"zero rate", []string{"-rate", "0"}, "rate"},
+		{"zero nodes", []string{"-nodes", "0"}, "node"},
+		{"replicas over nodes", []string{"-replicas", "5"}, "replication factor"},
+		{"quorum over replicas", []string{"-quorum", "3"}, "quorum"},
+		{"zero vnodes", []string{"-vnodes", "0"}, "virtual node"},
+		{"negative batch", []string{"-batch", "-2"}, "batch"},
+		{"negative deadline", []string{"-batch-deadline", "-5"}, "-batch-deadline"},
+		{"negative rtt", []string{"-net-rtt", "-1"}, "-net-rtt"},
+		{"tiny rtt", []string{"-net-rtt", "1"}, "RTT"},
+		{"jitter out of range", []string{"-net-jitter", "1"}, "jitter"},
+		{"bad zipf", []string{"-zipf", "0.3"}, "zipf"},
+		{"bad get fraction", []string{"-get-frac", "2"}, "get fraction"},
+		{"negative crash-at", []string{"-crash-at", "-1"}, "-crash-at"},
+		{"crash node out of range", []string{"-crash-at", "1000", "-crash-node", "7"}, "crash node"},
+		{"recover without crash", []string{"-recover-after", "1000"}, "crash"},
+		{"negative rebalance", []string{"-rebalance-every", "-1"}, "-rebalance-every"},
+		{"negative req-deadline", []string{"-req-deadline", "-1"}, "-req-deadline"},
+		{"negative retry-max", []string{"-retry-max", "-1"}, "-retry-max"},
+		{"hedge quantile out of range", []string{"-hedge-quantile", "1"}, "-hedge-quantile"},
+		{"negative shed high water", []string{"-shed-high-water", "-1"}, "-shed-high-water"},
+		{"negative heartbeat", []string{"-heartbeat-every", "-1"}, "-heartbeat-every"},
+		{"negative lease", []string{"-lease-cycles", "-1"}, "-lease-cycles"},
+		{"drop fraction out of range", []string{"-chaos-drop", "1.5"}, "drop"},
+		{"lossy chaos without deadline", []string{"-chaos-drop", "0.1"}, "deadline"},
+		{"heartbeats without deadline", []string{"-heartbeat-every", "4000"}, "deadline"},
+		{"lease not past heartbeat", []string{"-req-deadline", "100000", "-heartbeat-every", "4000", "-lease-cycles", "4000"}, "lease"},
+		{"plan file plus inline dials", []string{"-chaos-plan", "plan.json", "-chaos-dup", "0.1"}, "-chaos-plan"},
+		{"missing plan file", []string{"-chaos-plan", "does-not-exist.json"}, "-chaos-plan"},
+	})
 }
 
 // TestBuildClusterConfigLoadsPlanFile: a plan JSON on disk (the shrinker's
@@ -110,47 +80,26 @@ func TestBuildClusterConfigLoadsPlanFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"seed": 7, "drop": 0.1, "dup": 0.05}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := validClusterOptions()
-	o.ChaosPlanFile = path
-	o.ReqDeadline = 120_000
-	o.HeartbeatEvery = 4_000
-	o.LeaseCycles = 16_000
-	cfg, err := buildClusterConfig(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Chaos == nil || cfg.Chaos.Seed != 7 || cfg.Chaos.Drop != 0.1 || cfg.Chaos.Dup != 0.05 {
-		t.Fatalf("plan not loaded from file: %+v", cfg.Chaos)
+	robust := []string{"-req-deadline", "120000", "-heartbeat-every", "4000", "-lease-cycles", "16000"}
+	p := runFleet(t, append(robust, "-chaos-plan", path)...).Config.Chaos
+	if p == nil || p.Seed != 7 || p.Drop != 0.1 || p.Dup != 0.05 {
+		t.Fatalf("plan not loaded from file: %+v", p)
 	}
 	bad := path + ".bad"
 	if err := os.WriteFile(bad, []byte(`{"drop": 2.0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o.ChaosPlanFile = bad
-	if _, err := buildClusterConfig(o); err == nil {
+	if _, err := runArgs(append(append([]string{"-cluster"}, robust...), "-chaos-plan", bad)...); err == nil {
 		t.Fatal("invalid plan file accepted")
 	}
 }
 
-// TestBuildClusterConfigRejectsForeignModeFlags: flags of the benchmark,
-// conflict-engine and -service modes must clash loudly with -cluster,
-// never be silently ignored, and the error must name every offender.
+// TestBuildClusterConfigRejectsForeignModeFlags: flags of the other modes
+// must clash loudly with -cluster, never be silently ignored, and the
+// error must name every offender.
 func TestBuildClusterConfigRejectsForeignModeFlags(t *testing.T) {
-	for _, name := range incompatibleWithCluster {
-		o := validClusterOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildClusterConfig(o)
-		if err == nil {
-			t.Errorf("-%s alongside -cluster was accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-"+name) {
-			t.Errorf("clash error %q does not name -%s", err, name)
-		}
-	}
-	o := validClusterOptions()
-	o.SetFlags = map[string]bool{"service": true, "mc-ops": true}
-	_, err := buildClusterConfig(o)
+	testForeignFlags(t, clusterMode, "-cluster")
+	_, err := runArgs("-cluster", "-service", "-mc-ops", "3")
 	if err == nil || !strings.Contains(err.Error(), "-service") || !strings.Contains(err.Error(), "-mc-ops") {
 		t.Errorf("multi-flag clash error %v must list every offending flag", err)
 	}
@@ -165,74 +114,9 @@ func TestClusterFlagsClashWithService(t *testing.T) {
 		"chaos-plan", "chaos-drop", "req-deadline", "retry-max",
 		"heartbeat-every", "audit",
 	} {
-		o := validOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildServiceConfig(o)
+		_, err := runArgs("-service", "-"+name+"="+newCLI().fs.Lookup(name).DefValue)
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {
 			t.Errorf("-%s alongside -service: err=%v, want clash naming the flag", name, err)
 		}
-	}
-}
-
-// TestClusterModeExitCodes drives the real binary via the re-exec helper:
-// invalid -cluster combinations must exit non-zero with a diagnostic, and
-// a small valid run must exit zero.
-func TestClusterModeExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		wantOK bool
-		want   string
-	}{
-		{"valid run", []string{"-cluster", "-rate", "400", "-requests", "24", "-warmup", "24"}, true, "cluster"},
-		{"clashing service flags", []string{"-cluster", "-process", "bursty"}, false, "-process"},
-		{"clashing bench flags", []string{"-cluster", "-scale", "0.5"}, false, "-scale"},
-		{"bad replicas", []string{"-cluster", "-replicas", "9"}, false, "replication factor"},
-		{"bad quorum", []string{"-cluster", "-replicas", "2", "-quorum", "3"}, false, "quorum"},
-		{"bad rtt", []string{"-cluster", "-net-rtt", "1"}, false, "RTT"},
-		{"recover without crash", []string{"-cluster", "-recover-after", "500"}, false, "crash"},
-		{"chaos run with robustness stack", []string{
-			"-cluster", "-rate", "400", "-requests", "24", "-warmup", "24",
-			"-chaos-drop", "0.05", "-chaos-dup", "0.05",
-			"-req-deadline", "120000", "-retry-max", "4",
-			"-heartbeat-every", "4000", "-lease-cycles", "16000",
-		}, true, "chaos fabric"},
-		{"audited run reports", []string{
-			"-cluster", "-rate", "400", "-requests", "24", "-warmup", "24", "-audit",
-		}, true, "audit"},
-		{"lossy chaos needs a deadline", []string{
-			"-cluster", "-chaos-drop", "0.05",
-		}, false, "deadline"},
-		{"chaos plan file clashes with dials", []string{
-			"-cluster", "-chaos-plan", "p.json", "-chaos-drop", "0.05",
-		}, false, "-chaos-plan"},
-		{"bad hedge quantile", []string{
-			"-cluster", "-hedge-quantile", "1.5",
-		}, false, "-hedge-quantile"},
-		{"chaos flags clash with service", []string{
-			"-service", "-chaos-drop", "0.1",
-		}, false, "-chaos-drop"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperSpsimMain")
-			cmd.Env = append(os.Environ(), "SPSIM_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-			out, err := cmd.CombinedOutput()
-			if tc.wantOK && err != nil {
-				t.Fatalf("expected success, got %v:\n%s", err, out)
-			}
-			if !tc.wantOK {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("expected a non-zero exit, got err=%v:\n%s", err, out)
-				}
-				if ee.ExitCode() == 0 {
-					t.Fatalf("exit code 0 for invalid flags:\n%s", out)
-				}
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output does not mention %q:\n%s", tc.want, out)
-			}
-		})
 	}
 }

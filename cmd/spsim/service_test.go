@@ -1,141 +1,52 @@
 package main
 
 import (
-	"os"
-	"os/exec"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"specpersist/internal/service"
 )
 
-func validOptions() serviceOptions {
-	return serviceOptions{
-		Structure: "LL",
-		Variant:   "SP",
-		Rate:      50,
-		Process:   "poisson",
-		Warmup:    128,
-		Batch:     1,
-		GetFrac:   0.25,
-		Seed:      1,
-		SetFlags:  map[string]bool{},
-	}
-}
-
 func TestBuildServiceConfigValid(t *testing.T) {
-	cfg, err := buildServiceConfig(validOptions())
+	out, err := runArgs("-service", "-requests", "16", "-warmup", "16", "-json")
 	if err != nil {
-		t.Fatalf("valid options rejected: %v", err)
+		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.Structure != "LL" || cfg.Rate != 50 {
-		t.Errorf("config not assembled from options: %+v", cfg)
+	var res service.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("-json output is not a service result: %v", err)
+	}
+	if res.Config.Structure != "LL" || res.Config.Rate != 50 || res.Config.Requests != 16 {
+		t.Errorf("config not assembled from the flags: %+v", res.Config)
 	}
 }
 
 func TestBuildServiceConfigRejectsBadFlags(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*serviceOptions)
-		want string
-	}{
-		{"unknown variant", func(o *serviceOptions) { o.Variant = "Warp" }, "variant"},
-		{"non-durable variant", func(o *serviceOptions) { o.Variant = "Base" }, "durable"},
-		{"negative cores", func(o *serviceOptions) { o.Cores = -1 }, "-cores"},
-		{"negative deadline", func(o *serviceOptions) { o.Deadline = -5 }, "-batch-deadline"},
-		{"negative burst period", func(o *serviceOptions) { o.BurstPeriod = -1 }, "-burst-period"},
-		{"zero rate", func(o *serviceOptions) { o.Rate = 0 }, "rate"},
-		{"negative batch", func(o *serviceOptions) { o.Batch = -2 }, "batch"},
-		{"negative queue cap", func(o *serviceOptions) { o.QueueCap = -1 }, "queue"},
-		{"bad get fraction", func(o *serviceOptions) { o.GetFrac = 2 }, "get fraction"},
-		{"unknown structure", func(o *serviceOptions) { o.Structure = "QQ" }, "structure"},
-		{"unknown process", func(o *serviceOptions) { o.Process = "steady" }, "process"},
-		{"negative requests", func(o *serviceOptions) { o.Requests = -4 }, "request count"},
-	}
-	for _, tc := range cases {
-		o := validOptions()
-		tc.mut(&o)
-		_, err := buildServiceConfig(o)
-		if err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, o)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
+	testBadFlags(t, []string{"-service"}, []badFlagCase{
+		{"unknown variant", []string{"-variant", "Warp"}, "variant"},
+		{"non-durable variant", []string{"-variant", "Base"}, "durable"},
+		{"negative cores", []string{"-cores", "-1"}, "-cores"},
+		{"negative deadline", []string{"-batch-deadline", "-5"}, "-batch-deadline"},
+		{"negative burst period", []string{"-burst-period", "-1"}, "-burst-period"},
+		{"zero rate", []string{"-rate", "0"}, "rate"},
+		{"negative batch", []string{"-batch", "-2"}, "batch"},
+		{"negative queue cap", []string{"-queue-cap", "-1"}, "queue"},
+		{"bad get fraction", []string{"-get-frac", "2"}, "get fraction"},
+		{"unknown structure", []string{"-bench", "QQ"}, "structure"},
+		{"unknown process", []string{"-process", "steady"}, "process"},
+		{"negative requests", []string{"-requests", "-4"}, "request count"},
+		{"negative ssb", []string{"-ssb", "-5"}, "-ssb"},
+	})
 }
 
-// TestBuildServiceConfigRejectsForeignModeFlags: flags of the benchmark and
-// conflict-engine modes must clash loudly with -service, never be silently
-// ignored, and the error must name every offender.
+// TestBuildServiceConfigRejectsForeignModeFlags: flags of the other modes
+// must clash loudly with -service, never be silently ignored, and the
+// error must name every offender.
 func TestBuildServiceConfigRejectsForeignModeFlags(t *testing.T) {
-	for _, name := range incompatibleWithService {
-		o := validOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildServiceConfig(o)
-		if err == nil {
-			t.Errorf("-%s alongside -service was accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-"+name) {
-			t.Errorf("clash error %q does not name -%s", err, name)
-		}
-	}
-	o := validOptions()
-	o.SetFlags = map[string]bool{"scale": true, "mc-ops": true}
-	_, err := buildServiceConfig(o)
+	testForeignFlags(t, serviceMode, "-service")
+	_, err := runArgs("-service", "-scale", "0.5", "-mc-ops", "3")
 	if err == nil || !strings.Contains(err.Error(), "-mc-ops") || !strings.Contains(err.Error(), "-scale") {
 		t.Errorf("multi-flag clash error %v must list every offending flag", err)
 	}
-}
-
-// TestServiceModeExitCodes drives the real binary: invalid flag
-// combinations must exit non-zero with a diagnostic, and a small valid run
-// must exit zero. The test re-executes itself as spsim via the helper
-// below, so no separate build step is needed.
-func TestServiceModeExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		wantOK bool
-		want   string
-	}{
-		{"valid run", []string{"-service", "-rate", "800", "-requests", "16", "-warmup", "16"}, true, "service"},
-		{"clashing mode flags", []string{"-service", "-scale", "0.5"}, false, "-scale"},
-		{"bad variant", []string{"-service", "-variant", "Base"}, false, "durable"},
-		{"bad rate", []string{"-service", "-rate", "-1"}, false, "rate"},
-		{"bad batch", []string{"-service", "-batch", "0"}, false, "batch"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperSpsimMain")
-			cmd.Env = append(os.Environ(), "SPSIM_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-			out, err := cmd.CombinedOutput()
-			if tc.wantOK && err != nil {
-				t.Fatalf("expected success, got %v:\n%s", err, out)
-			}
-			if !tc.wantOK {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("expected a non-zero exit, got err=%v:\n%s", err, out)
-				}
-				if ee.ExitCode() == 0 {
-					t.Fatalf("exit code 0 for invalid flags:\n%s", out)
-				}
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output does not mention %q:\n%s", tc.want, out)
-			}
-		})
-	}
-}
-
-// TestHelperSpsimMain is not a real test: when re-executed with
-// SPSIM_HELPER_ARGS set, it becomes the spsim binary.
-func TestHelperSpsimMain(t *testing.T) {
-	raw, ok := os.LookupEnv("SPSIM_HELPER_ARGS")
-	if !ok {
-		t.Skip("helper process only")
-	}
-	os.Args = append([]string{"spsim"}, strings.Split(raw, "\x1f")...)
-	main()
 }

@@ -1,121 +1,70 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"specpersist/internal/service"
 )
 
-func validVstoreOptions() serviceOptions {
-	o := validOptions()
-	o.Structure = "" // -vstore forces VT; -bench clashes
-	return o
-}
-
 func TestBuildVstoreConfigValid(t *testing.T) {
-	cfg, err := buildVstoreConfig(validVstoreOptions())
+	out, err := runArgs("-vstore", "-rate", "800", "-requests", "16", "-warmup", "16", "-json")
 	if err != nil {
-		t.Fatalf("valid options rejected: %v", err)
+		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.Structure != "VT" {
-		t.Errorf("structure not pinned to VT: %+v", cfg)
+	var res service.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("-json output is not a service result: %v", err)
+	}
+	if res.Config.Structure != "VT" {
+		t.Errorf("structure not pinned to VT: %+v", res.Config)
 	}
 }
 
 func TestBuildVstoreConfigRejectsBadFlags(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*serviceOptions)
-		want string
-	}{
-		{"unknown variant", func(o *serviceOptions) { o.Variant = "Warp" }, "variant"},
-		{"non-durable variant", func(o *serviceOptions) { o.Variant = "Base" }, "durable"},
-		{"negative cores", func(o *serviceOptions) { o.Cores = -1 }, "-cores"},
-		{"negative deadline", func(o *serviceOptions) { o.Deadline = -5 }, "-batch-deadline"},
-		{"zero rate", func(o *serviceOptions) { o.Rate = 0 }, "rate"},
-		{"negative batch", func(o *serviceOptions) { o.Batch = -2 }, "batch"},
-		{"bad get fraction", func(o *serviceOptions) { o.GetFrac = 2 }, "get fraction"},
-		{"unknown process", func(o *serviceOptions) { o.Process = "steady" }, "process"},
-	}
-	for _, tc := range cases {
-		o := validVstoreOptions()
-		tc.mut(&o)
-		_, err := buildVstoreConfig(o)
-		if err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, o)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
+	testBadFlags(t, []string{"-vstore"}, []badFlagCase{
+		{"unknown variant", []string{"-variant", "Warp"}, "variant"},
+		{"non-durable variant", []string{"-variant", "Base"}, "durable"},
+		{"negative cores", []string{"-cores", "-1"}, "-cores"},
+		{"negative deadline", []string{"-batch-deadline", "-5"}, "-batch-deadline"},
+		{"zero rate", []string{"-rate", "0"}, "rate"},
+		{"negative batch", []string{"-batch", "-2"}, "batch"},
+		{"bad get fraction", []string{"-get-frac", "2"}, "get fraction"},
+		{"unknown process", []string{"-process", "steady"}, "process"},
+	})
 }
 
 // TestBuildVstoreConfigRejectsForeignModeFlags: every foreign-mode flag —
 // including -service, the WAL-only -log-cap and the benchmark selector
 // -bench — must clash loudly with -vstore, never be silently ignored.
 func TestBuildVstoreConfigRejectsForeignModeFlags(t *testing.T) {
-	for _, name := range incompatibleWithVstore {
-		if name == "vstore" {
-			t.Fatal("the mode's own flag ended up in its clash list")
-		}
-		o := validVstoreOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildVstoreConfig(o)
-		if err == nil {
-			t.Errorf("-%s alongside -vstore was accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-"+name) {
-			t.Errorf("clash error %q does not name -%s", err, name)
-		}
+	if newCLI().readers["vstore"]&vstoreMode == 0 {
+		t.Fatal("the mode's own flag is foreign to it")
 	}
-	o := validVstoreOptions()
-	o.SetFlags = map[string]bool{"bench": true, "log-cap": true}
-	_, err := buildVstoreConfig(o)
+	testForeignFlags(t, vstoreMode, "-vstore")
+	_, err := runArgs("-vstore", "-bench", "BT", "-log-cap", "128")
 	if err == nil || !strings.Contains(err.Error(), "-bench") || !strings.Contains(err.Error(), "-log-cap") {
 		t.Errorf("multi-flag clash error %v must list every offending flag", err)
 	}
 }
 
-// TestVstoreModeExitCodes drives the real binary via the re-exec helper:
-// invalid combinations exit non-zero with a diagnostic naming the
-// offender, and a small valid run exits zero and reports changeset
-// commits.
-func TestVstoreModeExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		wantOK bool
-		want   string
-	}{
-		{"valid run", []string{"-vstore", "-rate", "800", "-requests", "16", "-warmup", "16"}, true, "changeset commits"},
-		{"bench clash", []string{"-vstore", "-bench", "BT"}, false, "-bench"},
-		{"service clash", []string{"-vstore", "-service"}, false, "-service"},
-		{"log-cap clash", []string{"-vstore", "-log-cap", "128"}, false, "-log-cap"},
-		{"bad variant", []string{"-vstore", "-variant", "Base"}, false, "durable"},
+// TestVstoreTimeline: -vstore honours -timeline and writes a Chrome trace.
+func TestVstoreTimeline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	if _, err := runArgs("-vstore", "-rate", "800", "-requests", "16", "-warmup", "16", "-timeline", path); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperSpsimMain")
-			cmd.Env = append(os.Environ(), "SPSIM_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-			out, err := cmd.CombinedOutput()
-			if tc.wantOK && err != nil {
-				t.Fatalf("expected success, got %v:\n%s", err, out)
-			}
-			if !tc.wantOK {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("expected a non-zero exit, got err=%v:\n%s", err, out)
-				}
-				if ee.ExitCode() == 0 {
-					t.Fatalf("exit code 0 for invalid flags:\n%s", out)
-				}
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output does not mention %q:\n%s", tc.want, out)
-			}
-		})
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no timeline written: %v", err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(blob, &trace); err != nil || len(trace.TraceEvents) == 0 {
+		t.Fatalf("timeline is not a non-empty Chrome trace (err=%v, %d events)", err, len(trace.TraceEvents))
 	}
 }
