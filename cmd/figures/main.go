@@ -70,14 +70,19 @@ func main() {
 	}
 	s := workload.NewSuite(*scale, *seed)
 	s.Runner = eng
-	emit := func(name string, f func() *report.Table) {
-		start := time.Now()
-		tbl := f()
+	// show prints one table in the selected format.
+	show := func(tbl *report.Table) {
 		if *csv {
 			fmt.Printf("# %s\n%s\n", tbl.Title, tbl.CSV())
 		} else {
 			fmt.Println(tbl.String())
 		}
+	}
+	// emit runs one item's work, simulations included, and reports its
+	// wall time on stderr.
+	emit := func(name string, f func()) {
+		start := time.Now()
+		f()
 		fmt.Fprintf(os.Stderr, "[%s in %s]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
@@ -89,125 +94,124 @@ func main() {
 	}
 
 	if wantTable(1) {
-		emit("table1", func() *report.Table { return workload.Table1Report() })
+		emit("table1", func() { show(workload.Table1Report()) })
 	}
 	if wantTable(2) {
-		emit("table2", func() *report.Table { return workload.Table2Report() })
+		emit("table2", func() { show(workload.Table2Report()) })
 	}
 	if wantTable(3) {
-		emit("table3", func() *report.Table { return workload.Table3Report() })
+		emit("table3", func() { show(workload.Table3Report()) })
 	}
 	if wantFig(8) {
-		tbl := s.Fig8()
-		emit("fig8", func() *report.Table { return tbl })
-		if *chart {
-			// One bar chart per variant column.
-			for col := 1; col < len(tbl.Columns); col++ {
-				fmt.Println(report.ChartFromTable(tbl, col, "%").String())
+		emit("fig8", func() {
+			tbl := s.Fig8()
+			show(tbl)
+			if *chart {
+				// One bar chart per variant column.
+				for col := 1; col < len(tbl.Columns); col++ {
+					fmt.Println(report.ChartFromTable(tbl, col, "%").String())
+				}
 			}
-		}
+		})
 	}
 	if wantFig(9) {
-		emit("fig9", func() *report.Table { return s.Fig9() })
+		emit("fig9", func() { show(s.Fig9()) })
 	}
 	if wantFig(10) {
-		emit("fig10", func() *report.Table { return s.Fig10() })
+		emit("fig10", func() { show(s.Fig10()) })
 	}
 	if wantFig(11) {
-		emit("fig11", func() *report.Table { return s.Fig11() })
+		emit("fig11", func() { show(s.Fig11()) })
 	}
 	if wantFig(12) {
-		emit("fig12", func() *report.Table { return s.Fig12() })
+		emit("fig12", func() { show(s.Fig12()) })
 	}
 	if wantFig(13) {
-		tbl := s.Fig13()
-		emit("fig13", func() *report.Table { return tbl })
-		if *chart {
-			fmt.Println(report.ChartFromTable(tbl, 4, "%").String())
-		}
+		emit("fig13", func() {
+			tbl := s.Fig13()
+			show(tbl)
+			if *chart {
+				fmt.Println(report.ChartFromTable(tbl, 4, "%").String())
+			}
+		})
 	}
 	if wantFig(14) {
-		emit("fig14", func() *report.Table { return s.Fig14() })
+		emit("fig14", func() { show(s.Fig14()) })
 	}
 	if *ablation {
-		emit("ablation", func() *report.Table { return s.Ablation() })
-		emit("ckpt-sweep", func() *report.Table { return s.CheckpointSweep() })
-		emit("stall-breakdown", func() *report.Table { return s.StallBreakdown() })
-		emit("log-footprint", func() *report.Table { return s.LogFootprint() })
+		emit("ablation", func() { show(s.Ablation()) })
+		emit("ckpt-sweep", func() { show(s.CheckpointSweep()) })
+		emit("stall-breakdown", func() { show(s.StallBreakdown()) })
+		emit("log-footprint", func() { show(s.LogFootprint()) })
 	}
 	if *stalls {
 		for _, b := range workload.Table1() {
 			for _, v := range []core.Variant{core.VariantLogPSf, core.VariantSP} {
-				bench, variant := b, v
-				emit("stalls", func() *report.Table { return s.StallAttribution(bench, variant) })
+				emit("stalls", func() { show(s.StallAttribution(b, v)) })
 			}
 		}
 	}
 	if *conflicts {
-		emit("conflicts", func() *report.Table { return multicore.ConflictTable(*seed) })
+		emit("conflicts", func() { show(multicore.ConflictTable(*seed)) })
 	}
 	if *latency {
 		sc := service.DefaultSweepConfig()
 		sc.Base.Seed = *seed
 		sc.Workers = *jobs
-		points, err := service.LatencySweep(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("latency", func() *report.Table { return service.LatencyTable(points) })
-		emit("latency-slo", func() *report.Table { return service.SLOTable(points) })
-		if *chart {
-			for _, b := range sc.Batches {
-				for _, n := range sc.Cores {
-					fmt.Println(service.ThroughputLatencyCurve(points, b, n).String())
+		var points []service.SweepPoint
+		emit("latency", func() {
+			points = must(service.LatencySweep(sc))
+			show(service.LatencyTable(points))
+		})
+		emit("latency-slo", func() {
+			show(service.SLOTable(points))
+			if *chart {
+				for _, b := range sc.Batches {
+					for _, n := range sc.Cores {
+						fmt.Println(service.ThroughputLatencyCurve(points, b, n).String())
+					}
 				}
+				midRate := sc.Rates[len(sc.Rates)/2]
+				fmt.Println(service.LatencyCDFChart(points, midRate, sc.Batches[0], sc.Cores[0]).String())
 			}
-			midRate := sc.Rates[len(sc.Rates)/2]
-			fmt.Println(service.LatencyCDFChart(points, midRate, sc.Batches[0], sc.Cores[0]).String())
-		}
+		})
 	}
 	if *vstoreF {
 		sc := service.DefaultVstoreSweepConfig()
 		sc.Base.Seed = *seed
 		sc.Workers = *jobs
-		points, err := service.VstoreSweep(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("vstore", func() *report.Table { return service.VstoreTable(points) })
-		emit("vstore-slo", func() *report.Table { return service.VstoreCapacityTable(points) })
+		var points []service.VstorePoint
+		emit("vstore", func() {
+			points = must(service.VstoreSweep(sc))
+			show(service.VstoreTable(points))
+		})
+		emit("vstore-slo", func() { show(service.VstoreCapacityTable(points)) })
 	}
 	if *chaosF {
 		sc := cluster.DefaultChaosSweepConfig()
 		sc.Base.Seed = *seed
 		sc.Workers = *jobs
-		points, err := cluster.ChaosSweep(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("cluster-chaos", func() *report.Table { return cluster.ChaosCapacityTable(points) })
+		emit("cluster-chaos", func() { show(cluster.ChaosCapacityTable(must(cluster.ChaosSweep(sc)))) })
 	}
 	if *clusterF {
-		runClusterSweep := func(name string, sc cluster.SweepConfig) {
+		clusterSweep := func(name string, sc cluster.SweepConfig) {
 			sc.Base.Seed = *seed
 			sc.Workers = *jobs
-			points, err := cluster.Sweep(sc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emit(name, func() *report.Table { return cluster.CapacityTable(points) })
+			emit(name, func() { show(cluster.CapacityTable(must(cluster.Sweep(sc)))) })
 		}
-		runClusterSweep("cluster-capacity", cluster.DefaultSweepConfig())
-		runClusterSweep("cluster-rtt", cluster.DefaultRTTSweepConfig())
+		clusterSweep("cluster-capacity", cluster.DefaultSweepConfig())
+		clusterSweep("cluster-rtt", cluster.DefaultRTTSweepConfig())
 		rc := cluster.DefaultRejoinConfig()
 		rc.Base.Seed = *seed
 		rc.Workers = *jobs
-		start := time.Now()
-		points, err := cluster.RejoinSweep(rc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(cluster.RejoinCurve(points).String())
-		fmt.Fprintf(os.Stderr, "[cluster-rejoin in %s]\n", time.Since(start).Round(time.Millisecond))
+		emit("cluster-rejoin", func() { fmt.Println(cluster.RejoinCurve(must(cluster.RejoinSweep(rc))).String()) })
 	}
+}
+
+// must returns v, exiting on a sweep error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }
