@@ -68,6 +68,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad variant", []string{"-variant", "Warp"}, "variant"},
 		{"positional junk", []string{"-trials", "2", "extra"}, "unexpected"},
 		{"missing replay file", []string{"-replay", "nope.json"}, "nope.json"},
+		{"negative trials", []string{"-trials", "-1"}, "-trials"},
+		{"negative nodes", []string{"-trials", "2", "-nodes", "-1"}, "-nodes"},
+		{"negative replicas", []string{"-trials", "2", "-replicas", "-2"}, "-replicas"},
+		{"negative requests", []string{"-trials", "2", "-requests", "-5"}, "-requests"},
+		{"negative rate", []string{"-trials", "2", "-rate", "-3"}, "-rate"},
+		{"negative workers", []string{"-trials", "2", "-workers", "-1"}, "-workers"},
+		{"negative shrink budget", []string{"-trials", "2", "-shrink-budget", "-1"}, "-shrink-budget"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

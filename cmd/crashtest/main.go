@@ -43,19 +43,20 @@ var aliases = map[string]string{
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("crashtest: ")
+	// Counts parse as unsigned, so a negative value is a flag error.
 	var (
 		structuresF = flag.String("structures", "", "comma-separated structures (default: all); aliases like list,hash,avl work")
 		variantF    = flag.String("variant", "Log+P+Sf", "software variant (Log, Log+P, Log+P+Sf)")
 		seed        = flag.Int64("seed", 1, "campaign seed")
-		warmup      = flag.Int("warmup", 60, "warmup operations before the probed ops")
-		ops         = flag.Int("ops", 3, "operations probed per structure")
+		warmup      = flag.Uint("warmup", 60, "warmup operations before the probed ops")
+		ops         = flag.Uint("ops", 3, "operations probed per structure")
 		exhaustive  = flag.Bool("exhaustive", false, "enumerate every crash point (counting pass first)")
-		trials      = flag.Int("trials", 200, "randomized-mode trials per structure")
+		trials      = flag.Uint("trials", 200, "randomized-mode trials per structure")
 		torn        = flag.Bool("torn", false, "tear lines at 8-byte chunks in sampled trials")
 		recrash     = flag.Bool("recrash", false, "re-crash at every persistence event inside recovery")
-		samples     = flag.Int("samples", 1, "randomized fate sets per crash point besides the strict crash")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = one per CPU)")
-		maxViol     = flag.Int("max-violations", 3, "violation details kept per structure")
+		samples     = flag.Uint("samples", 1, "randomized fate sets per crash point besides the strict crash")
+		workers     = flag.Uint("workers", 0, "worker pool size (0 = one per CPU)")
+		maxViol     = flag.Uint("max-violations", 3, "violation details kept per structure")
 		jsonOut     = flag.Bool("json", false, "emit the machine-readable report as JSON on stdout")
 		replayFile  = flag.String("replay", "", "replay one plan from a JSON reproducer file and exit")
 		spdiff      = flag.Bool("spdiff", false, "run the SP rollback differential instead of a crash campaign")
@@ -76,7 +77,7 @@ func main() {
 	}
 
 	if *spdiff {
-		runSPDiff(structures, *probeMode, *seed, *warmup, *ops)
+		runSPDiff(structures, *probeMode, *seed, int(*warmup), int(*ops))
 		return
 	}
 
@@ -86,12 +87,12 @@ func main() {
 	}
 
 	eng := &fault.Engine{
-		Workers:       *workers,
-		Samples:       *samples,
+		Workers:       int(*workers),
+		Samples:       int(*samples),
 		Torn:          *torn,
 		Recrash:       *recrash,
 		Shrink:        true,
-		MaxViolations: *maxViol,
+		MaxViolations: int(*maxViol),
 	}
 	reg := obs.NewRegistry()
 	eng.Register(reg)
@@ -100,10 +101,10 @@ func main() {
 		Structures:       structures,
 		Variant:          v,
 		Seed:             *seed,
-		Warmup:           *warmup,
-		Ops:              *ops,
+		Warmup:           int(*warmup),
+		Ops:              int(*ops),
 		Exhaustive:       *exhaustive,
-		Trials:           *trials,
+		Trials:           int(*trials),
 		VstoreUnsafeFlip: *unsafeFlip,
 	})
 	if err != nil {
